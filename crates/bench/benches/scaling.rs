@@ -5,48 +5,69 @@
 
 use std::hint::black_box;
 
+use geyser::Telemetry;
 use geyser_bench::timing::bench_sampled;
-use geyser_blocking::{block_circuit, BlockingConfig};
-use geyser_compose::{compose_blocked_circuit, Ansatz, AnsatzKernel, CompositionConfig};
-use geyser_map::{map_circuit, MappingOptions};
+use geyser_blocking::{try_block_circuit, BlockingConfig};
+use geyser_compose::{
+    try_compose_blocked_circuit_reusing, Ansatz, AnsatzKernel, CancelToken, ComposeFaults,
+    CompositionConfig,
+};
+use geyser_map::{try_map_circuit, MappingOptions};
 use geyser_num::hilbert_schmidt_distance;
 use geyser_topology::Lattice;
 use geyser_workloads::qft_with_input;
 
 fn bench_mapping_scaling() {
+    let off = Telemetry::disabled();
     for n in [4usize, 8, 12, 16] {
         let program = qft_with_input(n, (1 << (n - 1)) as u64);
         let lattice = Lattice::triangular_for(n);
         bench_sampled("mapping_scaling", &format!("qft/{n}q"), 20, || {
-            map_circuit(&program, &lattice, &MappingOptions::optimized())
+            try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off).unwrap()
         });
     }
 }
 
 fn bench_blocking_scaling() {
+    let off = Telemetry::disabled();
     for n in [4usize, 6, 8, 10] {
         let program = qft_with_input(n, (1 << n) - 1);
         let lattice = Lattice::triangular_for(n);
-        let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+        let mapped =
+            try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off).unwrap();
         let label = format!("qft/{n}q/{}ops", mapped.circuit().len());
         bench_sampled("blocking_scaling", &label, 20, || {
-            block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default())
+            try_block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default(), &off).unwrap()
         });
     }
 }
 
 fn bench_composition_scaling() {
+    let off = Telemetry::disabled();
     for n in [4usize, 6, 8] {
         let program = qft_with_input(n, (1 << n) - 1);
         let lattice = Lattice::triangular_for(n);
-        let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
-        let blocked = block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default());
+        let mapped =
+            try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off).unwrap();
+        let blocked =
+            try_block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default(), &off)
+                .unwrap();
         // The smoke-budget composition isolates the per-block scaling
         // from the (configurable) annealing depth.
         let cfg = CompositionConfig::fast();
         let label = format!("qft/{n}q/{}blocks", blocked.num_blocks());
         bench_sampled("composition_scaling", &label, 10, || {
-            compose_blocked_circuit(&blocked, &cfg)
+            try_compose_blocked_circuit_reusing(
+                &blocked,
+                &cfg,
+                &ComposeFaults::none(),
+                &CancelToken::none(),
+                &[],
+                None,
+                &off,
+                None,
+            )
+            .unwrap()
         });
     }
 }

@@ -7,31 +7,35 @@
 //! 3. **Triangular vs square-diagonal lattice restriction pressure**
 //!    (paper Fig. 7's topology choice).
 
-use geyser::{evaluate_tvd, Technique};
+use geyser::{try_evaluate_tvd, Technique, Telemetry};
 use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
-use geyser_blocking::{block_circuit, BlockingConfig};
-use geyser_map::{map_circuit, MappingOptions};
+use geyser_blocking::{try_block_circuit, BlockingConfig};
+use geyser_map::{try_map_circuit, MappingOptions};
 use geyser_topology::Lattice;
 
 fn main() {
     let cli = Cli::parse();
     let cfg = cli.pipeline_config();
+    let off = Telemetry::disabled();
     let mut rows = Vec::new();
 
     // --- Ablation 1: blocking objective ---------------------------
     for spec in cli.selected_workloads(true) {
         let program = cli.build(&spec);
         let lattice = Lattice::triangular_for(program.num_qubits());
-        let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+        let mapped = try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off)
+            .unwrap_or_else(|e| panic!("{e}"));
         for (label, pulse_aware) in [("pulse-aware", true), ("gate-aware", false)] {
-            let blocked = block_circuit(
+            let blocked = try_block_circuit(
                 mapped.circuit(),
                 &lattice,
                 &BlockingConfig {
                     pulse_aware,
                     ..BlockingConfig::default()
                 },
-            );
+                &off,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
             rows.push(Row {
                 workload: spec.name.to_string(),
                 technique: label.to_string(),
@@ -52,17 +56,20 @@ fn main() {
     // --- Ablation 2: noise granularity -----------------------------
     for spec in cli.selected_workloads(true).into_iter().take(4) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
+        let (compiled, _) = compile_cached(
             spec.name,
             &program,
             Technique::Geyser,
             &cfg,
             &cli.config_tag(),
+            None,
+            &off,
         );
         let per_pulse = cli.noise_model();
         let per_op = per_pulse.with_per_operation_granularity();
         for (label, noise) in [("per-pulse", per_pulse), ("per-op", per_op)] {
-            let report = evaluate_tvd(&compiled, &program, &noise, cli.trajectories, cli.seed);
+            let report = try_evaluate_tvd(&compiled, &program, &noise, cli.trajectories, cli.seed)
+                .unwrap_or_else(|e| panic!("{e}"));
             rows.push(Row {
                 workload: spec.name.to_string(),
                 technique: label.to_string(),
@@ -88,7 +95,8 @@ fn main() {
                 ),
             ),
         ] {
-            let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+            let mapped = try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off)
+                .unwrap_or_else(|e| panic!("{e}"));
             rows.push(Row {
                 workload: spec.name.to_string(),
                 technique: label.to_string(),

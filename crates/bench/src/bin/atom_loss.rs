@@ -3,7 +3,7 @@
 //! not experimentally observed to be sensitive for realistic atom loss
 //! probabilities" — this binary quantifies that claim.
 
-use geyser::Technique;
+use geyser::{Technique, Telemetry};
 use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
 use geyser_sim::{
     ideal_distribution, sample_with_atom_loss, total_variation_distance, AtomLossModel,
@@ -24,12 +24,14 @@ fn main() {
     let mut rows = Vec::new();
     for spec in cli.selected_workloads(true).into_iter().take(5) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
+        let (compiled, _) = compile_cached(
             spec.name,
             &program,
             Technique::Geyser,
             &cfg,
             &cli.config_tag(),
+            None,
+            &Telemetry::disabled(),
         );
         let ideal = ideal_distribution(&program);
         for &loss_rate in &loss_rates {

@@ -41,7 +41,7 @@ struct ReuseBench {
     verified: bool,
 }
 
-fn compile(
+fn compile_counting_evals(
     circuit: &geyser::circuit::Circuit,
     cfg: &PipelineConfig,
 ) -> (CompiledCircuit, u64, Option<ReuseStats>) {
@@ -66,10 +66,10 @@ fn main() {
     let store = std::env::temp_dir().join(format!("geyser-bench-reuse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
 
-    let (baseline, baseline_evals, _) = compile(&circuit, &cfg);
+    let (baseline, baseline_evals, _) = compile_counting_evals(&circuit, &cfg);
     let reuse_cfg = cfg.clone().with_reuse_store(&store);
-    let (cold_out, cold_evals, cold) = compile(&circuit, &reuse_cfg);
-    let (warm_out, warm_evals, warm) = compile(&circuit, &reuse_cfg);
+    let (cold_out, cold_evals, cold) = compile_counting_evals(&circuit, &reuse_cfg);
+    let (warm_out, warm_evals, warm) = compile_counting_evals(&circuit, &reuse_cfg);
     let _ = std::fs::remove_dir_all(&store);
 
     let verified = [&baseline, &cold_out, &warm_out]

@@ -729,7 +729,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     cfg.composition.retry_attempts = 0;
     let vcfg = VerifyConfig::default().with_seed(seed);
 
-    let compile = |faults: FaultInjector| {
+    let compile_with = |faults: FaultInjector| {
         let compiled = PassManager::for_technique(Technique::Geyser)
             .with_faults(faults)
             .with_telemetry(cli.telemetry.clone())
@@ -744,14 +744,14 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     };
 
     // Seed run: populate the store with honest entries.
-    let (seed_stats, seed_verified) = compile(FaultInjector::none());
+    let (seed_stats, seed_verified) = compile_with(FaultInjector::none());
     assert!(seed_verified, "the seeding compile must be clean");
     let doctored = doctor_reuse_store(&store);
 
     // Clean recompile over the doctored store: every bogus composed
     // replay must bounce off the ε gate, and the output must still
     // pass the oracle.
-    let (clean_stats, clean_verified) = compile(FaultInjector::none());
+    let (clean_stats, clean_verified) = compile_with(FaultInjector::none());
     let clean = observe_reuse(&clean_stats, Some(clean_verified));
     let mut violations = check_reuse(&clean);
     if clean.exact_hits == 0 && clean_stats.exact_hits_rejected == 0 {
@@ -772,7 +772,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
         Some(spec) => FaultInjector::parse(spec).expect("validated in main"),
         None => FaultInjector::none(),
     };
-    let (faulted_stats, faulted_verified) = compile(faults);
+    let (faulted_stats, faulted_verified) = compile_with(faults);
     let faulted = observe_reuse(&faulted_stats, Some(faulted_verified));
     violations.extend(check_reuse(&faulted));
 

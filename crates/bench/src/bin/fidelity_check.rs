@@ -3,7 +3,7 @@
 //! practically negligible (< 1e-2) — composition error does not
 //! corrupt program semantics.
 
-use geyser::{evaluate_tvd, Technique};
+use geyser::{try_evaluate_tvd, Technique, Telemetry};
 use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
 use geyser_sim::NoiseModel;
 
@@ -14,14 +14,17 @@ fn main() {
     let mut worst: f64 = 0.0;
     for spec in cli.selected_workloads(true) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
+        let (compiled, _) = compile_cached(
             spec.name,
             &program,
             Technique::Geyser,
             &cfg,
             &cli.config_tag(),
+            None,
+            &Telemetry::disabled(),
         );
-        let report = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, cli.seed);
+        let report = try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, cli.seed)
+            .unwrap_or_else(|e| panic!("{e}"));
         worst = worst.max(report.compilation_tvd);
         let stats = compiled.composition_stats().expect("geyser stats");
         rows.push(Row {

@@ -1,7 +1,7 @@
 //! Figure 16: TVD of circuits run on superconducting qubits (square
 //! lattice, no CCZ) versus neutral atoms with Geyser, same noise.
 
-use geyser::{evaluate_tvd, Technique};
+use geyser::{try_evaluate_tvd, Technique};
 use geyser_bench::{
     compile_techniques, maybe_write_json, maybe_write_trace, metrics, print_rows, Cli, Row,
 };
@@ -14,7 +14,8 @@ fn main() {
     for spec in cli.selected_workloads(true) {
         let program = cli.build(&spec);
         for (t, c) in compile_techniques(&cli, spec.name, &program, &techniques, &cfg) {
-            let report = evaluate_tvd(&c, &program, &noise, cli.trajectories, cli.seed);
+            let report = try_evaluate_tvd(&c, &program, &noise, cli.trajectories, cli.seed)
+                .unwrap_or_else(|e| panic!("{e}"));
             rows.push(Row {
                 workload: spec.name.to_string(),
                 technique: t.label().to_string(),

@@ -1,7 +1,7 @@
 //! Figure 17: the Figure-15 TVD comparison repeated at 0.05% and 0.5%
 //! error rates (plus the default 0.1% for reference).
 
-use geyser::{evaluate_tvd, Technique};
+use geyser::{try_evaluate_tvd, Technique};
 use geyser_bench::{
     compile_techniques, maybe_write_json, maybe_write_trace, metrics, print_rows, Cli, Row,
 };
@@ -18,7 +18,8 @@ fn main() {
         for rate in [0.0005, 0.001, 0.005] {
             let noise = NoiseModel::symmetric(rate);
             for (t, c) in &compiled {
-                let report = evaluate_tvd(c, &program, &noise, cli.trajectories, cli.seed);
+                let report = try_evaluate_tvd(c, &program, &noise, cli.trajectories, cli.seed)
+                    .unwrap_or_else(|e| panic!("{e}"));
                 rows.push(Row {
                     workload: format!("{}@{:.2}%", spec.name, rate * 100.0),
                     technique: t.label().to_string(),

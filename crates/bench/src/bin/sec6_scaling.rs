@@ -6,14 +6,18 @@
 
 use std::time::Instant;
 
+use geyser::Telemetry;
 use geyser_bench::{maybe_write_json, metrics, print_rows, Cli, Row};
-use geyser_blocking::{block_circuit, BlockingConfig};
-use geyser_compose::{compose_blocked_circuit, CompositionConfig};
-use geyser_map::{map_circuit, MappingOptions};
+use geyser_blocking::{try_block_circuit, BlockingConfig};
+use geyser_compose::{
+    try_compose_blocked_circuit_reusing, CancelToken, ComposeFaults, CompositionConfig,
+};
+use geyser_map::{try_map_circuit, MappingOptions};
 use geyser_topology::Lattice;
 use geyser_workloads::qft_with_input;
 
 fn main() {
+    let off = Telemetry::disabled();
     let cli = Cli::parse();
     let mut rows = Vec::new();
     for n in [4usize, 5, 6, 8, 10, 12] {
@@ -21,11 +25,14 @@ fn main() {
         let lattice = Lattice::triangular_for(n);
 
         let t0 = Instant::now();
-        let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+        let mapped = try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off)
+            .unwrap_or_else(|e| panic!("{e}"));
         let map_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
-        let blocked = block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default());
+        let blocked =
+            try_block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default(), &off)
+                .unwrap_or_else(|e| panic!("{e}"));
         let block_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         // Fixed small per-block budget so the trend reflects block
@@ -38,7 +45,17 @@ fn main() {
             ..CompositionConfig::fast()
         };
         let t2 = Instant::now();
-        let composed = compose_blocked_circuit(&blocked, &compose_cfg);
+        let composed = try_compose_blocked_circuit_reusing(
+            &blocked,
+            &compose_cfg,
+            &ComposeFaults::none(),
+            &CancelToken::none(),
+            &[],
+            None,
+            &off,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         let compose_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         rows.push(Row {

@@ -30,12 +30,13 @@ use geyser::store::{
     read_record_file_quarantining, StoreReadError,
 };
 use geyser::{
-    compile, CompileReport, CompiledCircuit, PipelineConfig, Technique, Telemetry,
+    try_compile, CompileReport, CompiledCircuit, PipelineConfig, Technique, Telemetry,
     VerificationStats,
 };
 use geyser_circuit::Circuit;
 use geyser_compose::CompositionStats;
 use geyser_map::{Layout, MappedCircuit};
+use geyser_supervisor::checkpoint_fingerprint;
 use geyser_topology::{Lattice, LatticeKind};
 use geyser_verify::{CacheGenerationObservation, VerifyConfig};
 use serde::{Deserialize, Serialize};
@@ -149,12 +150,6 @@ pub fn classify_cache_payload(payload: &str) -> CachePayloadStatus {
         Ok(_) => CachePayloadStatus::StaleVersion,
         Err(_) => CachePayloadStatus::Malformed,
     }
-}
-
-/// FNV-1a fingerprint of a circuit's debug form — changes whenever the
-/// workload generator's output changes, invalidating stale entries.
-fn fingerprint(program: &Circuit) -> u64 {
-    geyser::store::fnv1a_bytes(format!("{program:?}").as_bytes())
 }
 
 /// Digest addressing one `(workload, technique, config, program)`
@@ -697,18 +692,9 @@ fn from_cached(
 /// Cache corruption or version skew degrades gracefully to a fresh
 /// compile. `cfg_tag` should encode everything that affects the
 /// output (seed, fast/paper budget, workload parameter overrides).
-pub fn compile_cached(
-    name: &str,
-    program: &Circuit,
-    technique: Technique,
-    cfg: &PipelineConfig,
-    cfg_tag: &str,
-) -> CompiledCircuit {
-    compile_cached_verified(name, program, technique, cfg, cfg_tag, None).0
-}
-
-/// [`compile_cached`] with an optional equivalence-oracle pass whose
-/// verdict travels with the cache entry.
+///
+/// `verify` adds an equivalence-oracle pass whose verdict travels
+/// with the cache entry:
 ///
 /// * Cache hit with a stored verdict — the verdict is replayed without
 ///   re-simulating (the oracle is deterministic for the seed encoded
@@ -717,33 +703,18 @@ pub fn compile_cached(
 ///   the verdict is back-filled into the entry atomically.
 /// * Cache miss — compile, verify, store circuit and verdict together.
 ///
-/// Without a `verify` config this is exactly [`compile_cached`]:
-/// stored verdicts are preserved but none are computed.
-pub fn compile_cached_verified(
-    name: &str,
-    program: &Circuit,
-    technique: Technique,
-    cfg: &PipelineConfig,
-    cfg_tag: &str,
-    verify: Option<&VerifyConfig>,
-) -> (CompiledCircuit, Option<VerificationStats>) {
-    compile_cached_verified_traced(
-        name,
-        program,
-        technique,
-        cfg,
-        cfg_tag,
-        verify,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`compile_cached_verified`] recording cache telemetry: hits bump
-/// the `bench.cache_hits` counter, misses `bench.cache_misses`.
-/// Observational only — the returned circuit is bit-identical with
-/// telemetry enabled or disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_cached_verified_traced(
+/// With `verify = None`, stored verdicts are preserved but none are
+/// computed.
+///
+/// `telemetry` records cache traffic: hits bump the `bench.cache_hits`
+/// counter, misses `bench.cache_misses`. Observational only — the
+/// returned circuit is bit-identical with telemetry enabled or
+/// disabled.
+///
+/// # Panics
+///
+/// Panics if a fresh compile fails.
+pub fn compile_cached(
     name: &str,
     program: &Circuit,
     technique: Technique,
@@ -752,13 +723,13 @@ pub fn compile_cached_verified_traced(
     verify: Option<&VerifyConfig>,
     telemetry: &Telemetry,
 ) -> (CompiledCircuit, Option<VerificationStats>) {
-    let fp = fingerprint(program);
+    let fp = checkpoint_fingerprint(program);
     let cache = match SharedCache::open(Path::new(CACHE_ROOT), telemetry) {
         Ok(cache) => cache,
         Err(_) => {
             // Unusable store (e.g. read-only filesystem): compile
             // straight through without caching rather than failing.
-            let compiled = compile(program, technique, cfg);
+            let compiled = try_compile(program, technique, cfg).unwrap_or_else(|e| panic!("{e}"));
             let stats = verify.map(|vc| geyser::verify_compiled(program, &compiled, vc));
             return (compiled, stats);
         }
@@ -813,7 +784,7 @@ pub fn compile_cached_verified_traced(
         Err(StoreReadError::Io(_)) | Err(StoreReadError::Corrupt(_)) => {}
     }
     telemetry.counter_add("bench.cache_misses", 1);
-    let compiled = compile(program, technique, cfg);
+    let compiled = try_compile(program, technique, cfg).unwrap_or_else(|e| panic!("{e}"));
     let stats = verify.map(|vc| geyser::verify_compiled(program, &compiled, vc));
     store(&path, &compiled, stats.clone(), cfg, cache.generation());
     (compiled, stats)
@@ -838,6 +809,30 @@ mod tests {
     // Tests that relocate the process cwd (the cache root is relative)
     // must not interleave.
     static CWD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn build(program: &Circuit, technique: Technique, cfg: &PipelineConfig) -> CompiledCircuit {
+        try_compile(program, technique, cfg).unwrap()
+    }
+
+    /// Unverified, untraced cache lookup.
+    fn cached(
+        name: &str,
+        program: &Circuit,
+        technique: Technique,
+        cfg: &PipelineConfig,
+        tag: &str,
+    ) -> CompiledCircuit {
+        compile_cached(
+            name,
+            program,
+            technique,
+            cfg,
+            tag,
+            None,
+            &Telemetry::disabled(),
+        )
+        .0
+    }
 
     fn sample_program() -> Circuit {
         let mut c = Circuit::new(3);
@@ -878,7 +873,7 @@ mod tests {
             Technique::Geyser,
             Technique::Superconducting,
         ] {
-            let direct = compile(&program, technique, &cfg);
+            let direct = build(&program, technique, &cfg);
             let cached = to_cached(&direct, None, &cfg, 1);
             let body = serde_json::to_string(&cached).unwrap();
             let back: CachedCompile = serde_json::from_str(&body).unwrap();
@@ -898,7 +893,7 @@ mod tests {
     fn entry_for_a_different_hardware_spec_is_a_miss() {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
-        let direct = compile(&program, Technique::Baseline, &cfg);
+        let direct = build(&program, Technique::Baseline, &cfg);
         let cached = to_cached(&direct, None, &cfg, 1);
         let other = geyser::HardwareSpec::near_term();
         assert!(
@@ -911,7 +906,7 @@ mod tests {
     fn stale_version_entry_is_a_miss() {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
-        let direct = compile(&program, Technique::Baseline, &cfg);
+        let direct = build(&program, Technique::Baseline, &cfg);
         let mut cached = to_cached(&direct, None, &cfg, 1);
         cached.version = CACHE_VERSION - 1;
         assert!(from_cached(cached, Technique::Baseline, cfg.hardware.digest()).is_none());
@@ -952,15 +947,6 @@ mod tests {
             serde_json::from_str::<CachedCompile>(&body).is_err(),
             "legacy entries lacking the hardware digest must be invalidated"
         );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_programs() {
-        let a = sample_program();
-        let mut b = sample_program();
-        b.h(2);
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(fingerprint(&a), fingerprint(&sample_program()));
     }
 
     #[test]
@@ -1067,7 +1053,7 @@ mod tests {
         let mut cache = SharedCache::open(&root, &telemetry).unwrap();
 
         // A current entry, written the way the compile path does.
-        let direct = compile(&program, Technique::Baseline, &cfg);
+        let direct = build(&program, Technique::Baseline, &cfg);
         let keep = cache.entry_path_for("t", Technique::Baseline, "keep", 1);
         let body = serde_json::to_string(&to_cached(&direct, None, &cfg, 1)).unwrap();
         write_entry_atomic(&keep, &body).unwrap();
@@ -1095,7 +1081,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let cache = SharedCache::open(&root, &telemetry).unwrap();
-        let direct = compile(&program, Technique::Baseline, &cfg);
+        let direct = build(&program, Technique::Baseline, &cfg);
 
         // Coherent store first.
         let good = cache.entry_path_for("t", Technique::Baseline, "good", 1);
@@ -1141,7 +1127,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1151,12 +1137,17 @@ mod tests {
             &telemetry,
         );
         let cache = SharedCache::open(Path::new(CACHE_ROOT), &telemetry).unwrap();
-        let path = cache.entry_path_for("t", Technique::OptiMap, "torn", fingerprint(&program));
+        let path = cache.entry_path_for(
+            "t",
+            Technique::OptiMap,
+            "torn",
+            checkpoint_fingerprint(&program),
+        );
         // Tear the committed entry the way a mid-write kill would.
         let body = std::fs::read(&path).unwrap();
         std::fs::write(&path, &body[..body.len() / 2]).unwrap();
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1199,35 +1190,38 @@ mod tests {
         // Write an unverified entry first (pre-`--verify` run), then
         // hit it with verification on: the verdict must be computed
         // once and back-filled.
-        let (_, none) = compile_cached_verified(
+        let (_, none) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             None,
+            &Telemetry::disabled(),
         );
         assert!(none.is_none());
-        let (_, first) = compile_cached_verified(
+        let (_, first) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             Some(&vc),
+            &Telemetry::disabled(),
         );
         let first = first.expect("verdict computed on back-fill");
         assert!(first.equivalent);
 
         // Second verified hit replays the stored verdict bit for bit
         // (same seconds field proves it was not re-measured).
-        let (_, second) = compile_cached_verified(
+        let (_, second) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             Some(&vc),
+            &Telemetry::disabled(),
         );
         assert_eq!(second.as_ref(), Some(&first));
 
@@ -1246,7 +1240,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1259,7 +1253,7 @@ mod tests {
         assert_eq!(telemetry.counter_value("bench.cache_hits"), None);
         assert!(first.report().is_some(), "fresh compiles carry a report");
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1293,7 +1287,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1310,13 +1304,18 @@ mod tests {
         // written it: same well-formed payload, previous schema
         // version.
         let cache = SharedCache::open(Path::new(CACHE_ROOT), &telemetry).unwrap();
-        let path = cache.entry_path_for("t", Technique::OptiMap, "skew", fingerprint(&program));
+        let path = cache.entry_path_for(
+            "t",
+            Technique::OptiMap,
+            "skew",
+            checkpoint_fingerprint(&program),
+        );
         let payload = geyser::store::read_record_file(&path).unwrap();
         let mut entry: CachedCompile = serde_json::from_str(payload.text()).unwrap();
         entry.version = CACHE_VERSION - 1;
         write_entry_atomic(&path, &serde_json::to_string(&entry).unwrap()).unwrap();
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1339,7 +1338,7 @@ mod tests {
 
         // The recompile rewrote a current-version entry: clean hit,
         // no further version misses.
-        let (_, _) = compile_cached_verified_traced(
+        let (_, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1365,8 +1364,8 @@ mod tests {
 
         let program = sample_program();
         let cfg = PipelineConfig::fast();
-        let first = compile_cached("t", &program, Technique::OptiMap, &cfg, "test");
-        let second = compile_cached("t", &program, Technique::OptiMap, &cfg, "test");
+        let first = cached("t", &program, Technique::OptiMap, &cfg, "test");
+        let second = cached("t", &program, Technique::OptiMap, &cfg, "test");
         assert_eq!(first.total_pulses(), second.total_pulses());
         assert!(dir.join(CACHE_ROOT).join(CACHE_OBJECTS_DIR).exists());
 
@@ -1394,8 +1393,7 @@ mod tests {
                         let mut last = 0;
                         for round in 0..3 {
                             let tag = format!("race-{round}");
-                            let compiled =
-                                compile_cached("t", &program, Technique::OptiMap, &cfg, &tag);
+                            let compiled = cached("t", &program, Technique::OptiMap, &cfg, &tag);
                             last = compiled.total_pulses();
                         }
                         last

@@ -105,8 +105,7 @@ pub mod timing;
 use std::collections::BTreeMap;
 
 pub use cache::{
-    classify_cache_payload, compile_cached, compile_cached_verified,
-    compile_cached_verified_traced, scan_generation, CachePayloadStatus, CompactionOutcome,
+    classify_cache_payload, compile_cached, scan_generation, CachePayloadStatus, CompactionOutcome,
     SharedCache, CACHE_COMPACTION_LOCK, CACHE_GENERATION_FILE, CACHE_LOCK_STALE_MS,
     CACHE_OBJECTS_DIR, CACHE_ROOT, CACHE_VERSION_MISS_COUNTER,
 };
@@ -633,7 +632,7 @@ pub fn compile_techniques(
                             .unwrap_or_else(|e| panic!("{e}"));
                         (t, c, None)
                     } else {
-                        let (c, stats) = compile_cached_verified_traced(
+                        let (c, stats) = compile_cached(
                             name,
                             program,
                             t,

@@ -6,7 +6,7 @@ use geyser_topology::Lattice;
 
 use crate::{Block, BlockError, BlockedCircuit, Round};
 
-/// Configuration for [`block_circuit`].
+/// Configuration for [`try_block_circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockingConfig {
     /// Score blocks by pulse count (the paper's pulse-aware mode).
@@ -123,58 +123,31 @@ fn absorb(
 /// as passthrough blocks so that the partition always covers the full
 /// circuit.
 ///
-/// # Panics
+/// Returns [`BlockError::RegisterMismatch`] when the circuit is not
+/// expressed over the lattice's node space.
 ///
-/// Panics if the circuit's qubit count differs from the lattice size.
-///
-/// # Example
-///
-/// ```
-/// use geyser_blocking::{block_circuit, BlockingConfig};
-/// use geyser_circuit::Circuit;
-/// use geyser_topology::Lattice;
-/// let lat = Lattice::triangular(2, 2);
-/// let mut c = Circuit::new(4);
-/// c.cz(0, 1).h(2);
-/// let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
-/// assert_eq!(blocked.num_ops_covered(), 2);
-/// ```
-pub fn block_circuit(
-    circuit: &Circuit,
-    lattice: &Lattice,
-    config: &BlockingConfig,
-) -> BlockedCircuit {
-    try_block_circuit(circuit, lattice, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`block_circuit`]: returns
-/// [`BlockError::RegisterMismatch`] instead of panicking when the
-/// circuit is not expressed over the lattice's node space.
+/// `telemetry` opens a span per round of the block-family search
+/// (category `blocking`) and counts the rounds and blocks produced; a
+/// disabled handle records nothing and never changes the partition.
 ///
 /// # Example
 ///
 /// ```
 /// use geyser_blocking::{try_block_circuit, BlockError, BlockingConfig};
 /// use geyser_circuit::Circuit;
+/// use geyser_telemetry::Telemetry;
 /// use geyser_topology::Lattice;
 /// let lat = Lattice::triangular(2, 2); // 4 nodes
-/// let c = Circuit::new(3); // not over the node space
-/// let err = try_block_circuit(&c, &lat, &BlockingConfig::default());
+/// let cfg = BlockingConfig::default();
+/// let off = Telemetry::disabled();
+/// let mut c = Circuit::new(4);
+/// c.cz(0, 1).h(2);
+/// let blocked = try_block_circuit(&c, &lat, &cfg, &off).unwrap();
+/// assert_eq!(blocked.num_ops_covered(), 2);
+/// let err = try_block_circuit(&Circuit::new(3), &lat, &cfg, &off);
 /// assert!(matches!(err, Err(BlockError::RegisterMismatch { .. })));
 /// ```
 pub fn try_block_circuit(
-    circuit: &Circuit,
-    lattice: &Lattice,
-    config: &BlockingConfig,
-) -> Result<BlockedCircuit, BlockError> {
-    try_block_circuit_traced(circuit, lattice, config, &Telemetry::disabled())
-}
-
-/// [`try_block_circuit`] with telemetry: opens a span per round of the
-/// block-family search (category `blocking`) and counts the rounds and
-/// blocks produced. A disabled handle makes this identical to the
-/// untraced form.
-pub fn try_block_circuit_traced(
     circuit: &Circuit,
     lattice: &Lattice,
     config: &BlockingConfig,
@@ -302,6 +275,10 @@ mod tests {
     use geyser_num::hilbert_schmidt_distance;
     use geyser_sim::circuit_unitary;
 
+    fn block(circuit: &Circuit, lattice: &Lattice, config: &BlockingConfig) -> BlockedCircuit {
+        try_block_circuit(circuit, lattice, config, &Telemetry::disabled()).unwrap()
+    }
+
     fn assert_partition_valid(blocked: &BlockedCircuit) {
         // Every op exactly once.
         let mut seen = vec![false; blocked.source().len()];
@@ -341,7 +318,7 @@ mod tests {
         let lat = Lattice::triangular(2, 2);
         let mut c = Circuit::new(4);
         c.h(0).cz(0, 1).cz(1, 2).h(2).cz(0, 2);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_rounds_zone_compatible(&blocked, &lat);
         // 0,1,2 form a triangle: a single block should take everything.
@@ -355,7 +332,7 @@ mod tests {
         let mut c = Circuit::new(9);
         // Chain crossing multiple triangles.
         c.cz(0, 1).cz(1, 2).cz(3, 4).cz(4, 5).cz(1, 4).cz(2, 5);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_rounds_zone_compatible(&blocked, &lat);
         assert!(blocked.num_blocks() >= 2);
@@ -367,7 +344,7 @@ mod tests {
         let lat = Lattice::triangular(3, 6);
         let mut c = Circuit::new(18);
         c.cz(0, 1).h(0).cz(16, 17).h(17);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_rounds_zone_compatible(&blocked, &lat);
         // Both groups fit in one round as two parallel blocks.
@@ -381,7 +358,7 @@ mod tests {
         let lat = Lattice::square(2, 2);
         let mut c = Circuit::new(4);
         c.h(0).cz(0, 1).cz(2, 3);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_eq!(blocked.num_triangle_blocks(), 0);
         assert_eq!(blocked.num_blocks(), 3);
@@ -405,7 +382,7 @@ mod tests {
                 ..BlockingConfig::default()
             },
         ] {
-            let blocked = block_circuit(&c, &lat, &cfg);
+            let blocked = block(&c, &lat, &cfg);
             assert_partition_valid(&blocked);
             assert_rounds_zone_compatible(&blocked, &lat);
         }
@@ -421,7 +398,7 @@ mod tests {
         for q in 0..18 {
             c.h(q);
         }
-        let unlimited = block_circuit(&c, &lat, &BlockingConfig::default());
+        let unlimited = block(&c, &lat, &BlockingConfig::default());
         assert!(
             unlimited.rounds().iter().any(|r| r.blocks().len() > 1),
             "test premise: unlimited blocking parallelizes"
@@ -430,7 +407,7 @@ mod tests {
             max_blocks_per_round: Some(1),
             ..BlockingConfig::default()
         };
-        let capped = block_circuit(&c, &lat, &capped_cfg);
+        let capped = block(&c, &lat, &capped_cfg);
         assert_partition_valid(&capped);
         for round in capped.rounds() {
             assert!(round.blocks().len() <= 1);
@@ -441,7 +418,7 @@ mod tests {
     #[test]
     fn empty_circuit_yields_no_rounds() {
         let lat = Lattice::triangular(2, 2);
-        let blocked = block_circuit(&Circuit::new(4), &lat, &BlockingConfig::default());
+        let blocked = block(&Circuit::new(4), &lat, &BlockingConfig::default());
         assert_eq!(blocked.num_blocks(), 0);
         assert!(blocked.rounds().is_empty());
     }
@@ -453,7 +430,7 @@ mod tests {
         for _ in 0..10 {
             c.cz(0, 1).h(1).cz(1, 2).h(0);
         }
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_eq!(blocked.num_blocks(), 1);
         assert_eq!(blocked.blocks().next().unwrap().num_ops(), 40);
@@ -467,15 +444,8 @@ mod tests {
         let lat = Lattice::triangular(2, 3);
         let mut c = Circuit::new(6);
         c.h(1).cz(1, 2).t(2).cz(2, 3).h(3).cz(0, 1).cz(4, 5);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat, &BlockingConfig::default());
         assert_partition_valid(&blocked);
         assert_rounds_zone_compatible(&blocked, &lat);
-    }
-
-    #[test]
-    #[should_panic(expected = "over lattice nodes")]
-    fn size_mismatch_panics() {
-        let lat = Lattice::triangular(2, 2);
-        let _ = block_circuit(&Circuit::new(3), &lat, &BlockingConfig::default());
     }
 }

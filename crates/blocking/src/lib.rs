@@ -25,14 +25,16 @@
 //! # Example
 //!
 //! ```
-//! use geyser_blocking::{block_circuit, BlockingConfig};
+//! use geyser_blocking::{try_block_circuit, BlockingConfig};
 //! use geyser_circuit::Circuit;
+//! use geyser_telemetry::Telemetry;
 //! use geyser_topology::Lattice;
 //!
 //! let lat = Lattice::triangular(2, 2);
 //! let mut c = Circuit::new(4);
 //! c.h(0).cz(0, 1).cz(1, 2).h(2);
-//! let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+//! let blocked =
+//!     try_block_circuit(&c, &lat, &BlockingConfig::default(), &Telemetry::disabled()).unwrap();
 //! assert_eq!(blocked.num_ops_covered(), 4);
 //! ```
 
@@ -43,6 +45,6 @@ mod algorithm;
 mod block;
 mod error;
 
-pub use algorithm::{block_circuit, try_block_circuit, try_block_circuit_traced, BlockingConfig};
+pub use algorithm::{try_block_circuit, BlockingConfig};
 pub use block::{Block, BlockedCircuit, Round};
 pub use error::BlockError;

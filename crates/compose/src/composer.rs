@@ -273,20 +273,10 @@ fn is_identity_up_to_phase(u: &CMatrix, tol: f64) -> bool {
 /// Grows the ansatz one layer at a time, minimizing the HSD with dual
 /// annealing; accepts the first candidate that meets `epsilon` *and*
 /// uses fewer pulses than the original; otherwise returns the
-/// original block unchanged.
+/// original block unchanged. Returns [`ComposeError::NotThreeQubit`]
+/// when the block is not a 3-qubit circuit.
 ///
 /// Deterministic for a fixed `(block, config)`.
-///
-/// # Panics
-///
-/// Panics if the block is not a 3-qubit circuit.
-pub fn compose_block(block: &Circuit, config: &CompositionConfig) -> CompositionResult {
-    try_compose_block(block, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`compose_block`]: returns
-/// [`ComposeError::NotThreeQubit`] instead of panicking when the block
-/// is not a 3-qubit circuit.
 ///
 /// # Example
 ///
@@ -915,30 +905,6 @@ fn bipartite_factor_candidate(target: &CMatrix) -> Option<Circuit> {
     None
 }
 
-/// Composes every eligible triangle block of a blocked circuit in
-/// parallel (the paper notes all blocks compose independently and
-/// uses multiprocessing; here a crossbeam scoped-thread pool).
-///
-/// The returned circuit re-emits rounds/blocks in order, substituting
-/// composed block bodies remapped onto their lattice nodes.
-///
-/// Deterministic for a fixed `(blocked, config)` regardless of thread
-/// count (per-block seeds).
-pub fn compose_blocked_circuit(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-) -> ComposedCircuit {
-    try_compose_blocked_circuit(blocked, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`compose_blocked_circuit`] with no fault hooks.
-pub fn try_compose_blocked_circuit(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-) -> Result<ComposedCircuit, ComposeError> {
-    try_compose_blocked_circuit_with_faults(blocked, config, &ComposeFaults::none())
-}
-
 /// Callback invoked by the composition pool as each block finishes.
 ///
 /// Runs on the worker thread that composed the block, so
@@ -961,63 +927,6 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`try_compose_blocked_circuit`] with test/bench-only fault
-/// injection.
-///
-/// Each block's composition runs under `catch_unwind`: a panicking
-/// block (injected or real) records [`BlockOutcome::Failed`], keeps
-/// its original pulses, and never poisons the worker pool — the scope
-/// always joins cleanly and the remaining blocks compose normally.
-pub fn try_compose_blocked_circuit_with_faults(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-    faults: &ComposeFaults,
-) -> Result<ComposedCircuit, ComposeError> {
-    try_compose_blocked_circuit_supervised(
-        blocked,
-        config,
-        faults,
-        &CancelToken::none(),
-        &[],
-        None,
-        &Telemetry::disabled(),
-    )
-}
-
-/// The fully supervised composition entry point: fault injection plus
-/// cooperative cancellation, checkpoint resume, and per-block
-/// completion observation.
-///
-/// * `cancel` — polled before every block and inside every annealing
-///   chain move; once fired, remaining blocks fall back with
-///   [`FallbackReason::Cancelled`] and the pool drains promptly.
-/// * `prior` — per-block results from an earlier (interrupted) run,
-///   indexed like the blocked circuit's blocks; a `Some` slot is
-///   restored verbatim (counted in
-///   [`CompositionStats::blocks_resumed`]) instead of recomposed.
-///   Because every block derives its seed from `(config.seed, index)`,
-///   a resumed run is bit-identical to an uninterrupted one.
-/// * `observer` — notified on the worker thread as each fresh block
-///   finishes (checkpoint writers hook in here).
-/// * `telemetry` — records a `compose.block` span per fresh block plus
-///   annealer counters and the acceptance-rate histogram. Timings are
-///   observational only: results are bit-identical with telemetry
-///   enabled or disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn try_compose_blocked_circuit_supervised(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-    faults: &ComposeFaults,
-    cancel: &CancelToken,
-    prior: &[Option<CompositionResult>],
-    observer: Option<&dyn BlockObserver>,
-    telemetry: &Telemetry,
-) -> Result<ComposedCircuit, ComposeError> {
-    try_compose_blocked_circuit_reusing(
-        blocked, config, faults, cancel, prior, observer, telemetry, None,
-    )
 }
 
 /// Consults the coarse (near-miss) index for a warm-start plan.
@@ -1137,8 +1046,39 @@ fn publish_wave(
     }
 }
 
-/// [`try_compose_blocked_circuit_supervised`] with an optional
-/// composition-reuse session.
+/// Composes every eligible triangle block of a blocked circuit in
+/// parallel (the paper notes all blocks compose independently and
+/// uses multiprocessing; here a crossbeam scoped-thread pool).
+///
+/// The returned circuit re-emits rounds/blocks in order, substituting
+/// composed block bodies remapped onto their lattice nodes.
+///
+/// Deterministic for a fixed `(blocked, config)` regardless of thread
+/// count (per-block seeds).
+///
+/// * `faults` — test/bench-only fault injection
+///   ([`ComposeFaults::none`] in production). Each block's composition
+///   runs under `catch_unwind`: a panicking block (injected or real)
+///   records [`BlockOutcome::Failed`], keeps its original pulses, and
+///   never poisons the worker pool — the scope always joins cleanly
+///   and the remaining blocks compose normally.
+/// * `cancel` — polled before every block and inside every annealing
+///   chain move; once fired, remaining blocks fall back with
+///   [`FallbackReason::Cancelled`] and the pool drains promptly.
+/// * `prior` — per-block results from an earlier (interrupted) run,
+///   indexed like the blocked circuit's blocks; a `Some` slot is
+///   restored verbatim (counted in
+///   [`CompositionStats::blocks_resumed`]) instead of recomposed.
+///   Because every block derives its seed from `(config.seed, index)`,
+///   a resumed run is bit-identical to an uninterrupted one. Pass `&[]`
+///   to compose every block fresh.
+/// * `observer` — notified on the worker thread as each fresh block
+///   finishes (checkpoint writers hook in here).
+/// * `telemetry` — records a `compose.block` span per fresh block plus
+///   annealer counters and the acceptance-rate histogram. Timings are
+///   observational only: results are bit-identical with telemetry
+///   enabled or disabled.
+/// * `session` — optional composition-reuse session, described below.
 ///
 /// With `session = Some(..)` the composer runs a serial planning phase
 /// before annealing: every eligible block is fingerprinted
@@ -1413,8 +1353,46 @@ pub fn try_compose_blocked_circuit_reusing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geyser_blocking::{block_circuit, BlockingConfig};
+    use geyser_blocking::{try_block_circuit, BlockingConfig};
     use geyser_topology::Lattice;
+
+    /// Composes without telemetry or a reuse session.
+    fn compose_with(
+        blocked: &BlockedCircuit,
+        cfg: &CompositionConfig,
+        faults: &ComposeFaults,
+        cancel: &CancelToken,
+        prior: &[Option<CompositionResult>],
+        observer: Option<&dyn BlockObserver>,
+    ) -> Result<ComposedCircuit, ComposeError> {
+        try_compose_blocked_circuit_reusing(
+            blocked,
+            cfg,
+            faults,
+            cancel,
+            prior,
+            observer,
+            &Telemetry::disabled(),
+            None,
+        )
+    }
+
+    fn block(c: &Circuit, lat: &Lattice) -> BlockedCircuit {
+        try_block_circuit(c, lat, &BlockingConfig::default(), &Telemetry::disabled()).unwrap()
+    }
+
+    /// Composes every block fresh: no faults, cancellation or resume.
+    fn compose_all(blocked: &BlockedCircuit, cfg: &CompositionConfig) -> ComposedCircuit {
+        compose_with(
+            blocked,
+            cfg,
+            &ComposeFaults::none(),
+            &CancelToken::none(),
+            &[],
+            None,
+        )
+        .unwrap()
+    }
 
     /// The paper's Fig. 11 example: a CCZ decomposed into 6 CZ and
     /// 8 single-qubit gates (26 pulses).
@@ -1445,7 +1423,7 @@ mod tests {
     fn identity_block_composes_to_nothing() {
         let mut block = Circuit::new(3);
         block.h(0).h(0).cz(1, 2).cz(1, 2);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(res.composed);
         assert!(res.circuit.is_empty());
         assert!(res.hsd < 1e-9);
@@ -1456,7 +1434,7 @@ mod tests {
         // 2 pulses: cheaper than any ansatz — must pass through.
         let mut block = Circuit::new(3);
         block.h(0).t(1);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(!res.composed);
         assert_eq!(res.circuit.ops(), block.ops());
     }
@@ -1465,7 +1443,7 @@ mod tests {
     fn composition_never_increases_pulses() {
         let mut block = Circuit::new(3);
         block.h(0).cz(0, 1).t(1).cz(1, 2).h(2).cz(0, 1);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(res.circuit.total_pulses() <= block.total_pulses());
     }
 
@@ -1487,7 +1465,7 @@ mod tests {
             threads: 1,
             ..CompositionConfig::default()
         };
-        let res = compose_block(&block, &cfg);
+        let res = try_compose_block(&block, &cfg).unwrap();
         assert!(res.composed, "composition failed, hsd = {}", res.hsd);
         assert!(
             res.circuit.total_pulses() <= 11,
@@ -1504,8 +1482,8 @@ mod tests {
         let lat = Lattice::triangular(2, 2);
         let mut c = Circuit::new(4);
         c.h(0).cz(0, 1).h(1).cz(1, 2).h(2).cz(0, 2).h(0).cz(1, 2);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
-        let composed = compose_blocked_circuit(&blocked, &CompositionConfig::fast().with_seed(3));
+        let blocked = block(&c, &lat);
+        let composed = compose_all(&blocked, &CompositionConfig::fast().with_seed(3));
         assert_eq!(composed.stats.blocks_total, blocked.num_blocks());
         // Equivalence within the accepted HSD budget: compare ideal
         // output distributions.
@@ -1520,8 +1498,8 @@ mod tests {
         let lat = Lattice::triangular(2, 3);
         let mut c = Circuit::new(6);
         c.h(0).cz(0, 1).cz(3, 4).h(4).cz(4, 5).t(5);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
-        let composed = compose_blocked_circuit(&blocked, &CompositionConfig::fast());
+        let blocked = block(&c, &lat);
+        let composed = compose_all(&blocked, &CompositionConfig::fast());
         assert_eq!(composed.stats.blocks_total, blocked.num_blocks());
         assert!(composed.stats.pulses_after <= composed.stats.pulses_before);
         assert_eq!(composed.stats.pulses_before, c.total_pulses());
@@ -1532,20 +1510,14 @@ mod tests {
         let lat = Lattice::triangular(2, 3);
         let mut c = Circuit::new(6);
         c.h(0).cz(0, 1).h(1).cz(1, 2).cz(3, 4).h(4).cz(4, 5);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat);
         let mut cfg1 = CompositionConfig::fast();
         cfg1.threads = 1;
         let mut cfg4 = CompositionConfig::fast();
         cfg4.threads = 4;
-        let a = compose_blocked_circuit(&blocked, &cfg1);
-        let b = compose_blocked_circuit(&blocked, &cfg4);
+        let a = compose_all(&blocked, &cfg1);
+        let b = compose_all(&blocked, &cfg4);
         assert_eq!(a.circuit.ops(), b.circuit.ops());
-    }
-
-    #[test]
-    #[should_panic(expected = "3-qubit blocks")]
-    fn wrong_block_size_panics() {
-        let _ = compose_block(&Circuit::new(2), &CompositionConfig::fast());
     }
 
     #[test]
@@ -1554,7 +1526,7 @@ mod tests {
         // them to a single pulse without touching the annealer.
         let mut block = Circuit::new(3);
         block.h(1).t(1).ry(0.4, 1).h(1).rz(1.1, 1);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(res.composed);
         assert_eq!(res.circuit.len(), 1);
         assert_eq!(res.circuit.total_pulses(), 1);
@@ -1576,7 +1548,7 @@ mod tests {
             .rz(0.2, 2)
             .cz(0, 2);
         let original_pulses = block.total_pulses();
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(res.composed, "exact path should fire");
         assert!(res.circuit.total_pulses() < original_pulses);
         assert!(res.hsd < 1e-7, "hsd = {}", res.hsd);
@@ -1603,7 +1575,7 @@ mod tests {
             .rz(0.2, 2)
             .cz(0, 2)
             .h(1);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(res.composed, "bipartite exact path should fire");
         assert!(res.hsd < 1e-7, "hsd = {}", res.hsd);
         assert!(res.circuit.total_pulses() < block.total_pulses());
@@ -1617,7 +1589,7 @@ mod tests {
         // cheaper, so the original is kept.
         let mut block = Circuit::new(3);
         block.cz(0, 1);
-        let res = compose_block(&block, &CompositionConfig::fast());
+        let res = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
         assert!(!res.composed);
         assert_eq!(res.circuit.ops(), block.ops());
     }
@@ -1628,14 +1600,14 @@ mod tests {
         let lat = Lattice::triangular(2, 2);
         let mut c = Circuit::new(4);
         c.h(0).cz(0, 1).h(1).cz(1, 2).h(2).cz(0, 2).h(0).cz(1, 2);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat);
         (c, blocked)
     }
 
     #[test]
     fn outcomes_cover_every_block() {
         let (_, blocked) = blocked_fixture();
-        let composed = compose_blocked_circuit(&blocked, &CompositionConfig::fast());
+        let composed = compose_all(&blocked, &CompositionConfig::fast());
         assert_eq!(composed.outcomes.len(), composed.stats.blocks_total);
         assert_eq!(
             composed.stats.blocks_eligible,
@@ -1659,9 +1631,15 @@ mod tests {
             panic_blocks: vec![eligible[0]],
             ..ComposeFaults::none()
         };
-        let composed =
-            try_compose_blocked_circuit_with_faults(&blocked, &CompositionConfig::fast(), &faults)
-                .expect("panic must be isolated per block, not surfaced");
+        let composed = compose_with(
+            &blocked,
+            &CompositionConfig::fast(),
+            &faults,
+            &CancelToken::none(),
+            &[],
+            None,
+        )
+        .expect("panic must be isolated per block, not surfaced");
         assert_eq!(composed.stats.blocks_failed, 1);
         match &composed.outcomes[eligible[0]] {
             BlockOutcome::Failed { detail } => {
@@ -1683,9 +1661,15 @@ mod tests {
             corrupt_blocks: all,
             ..ComposeFaults::none()
         };
-        let composed =
-            try_compose_blocked_circuit_with_faults(&blocked, &CompositionConfig::fast(), &faults)
-                .expect("corruption must degrade, not error");
+        let composed = compose_with(
+            &blocked,
+            &CompositionConfig::fast(),
+            &faults,
+            &CancelToken::none(),
+            &[],
+            None,
+        )
+        .expect("corruption must degrade, not error");
         // No corrupted candidate may slip through the ε re-check: every
         // eligible block either legitimately fell back or had its
         // corrupted winner rejected — so the output equals the source.
@@ -1703,7 +1687,7 @@ mod tests {
     fn expired_deadline_falls_back_budget_exhausted() {
         let (c, blocked) = blocked_fixture();
         let cfg = CompositionConfig::fast().with_deadline(Deadline::already_expired());
-        let composed = compose_blocked_circuit(&blocked, &cfg);
+        let composed = compose_all(&blocked, &cfg);
         assert_eq!(composed.stats.blocks_composed, 0);
         assert!(composed.stats.blocks_fell_back > 0);
         assert!(composed.outcomes.iter().any(|o| matches!(
@@ -1724,8 +1708,8 @@ mod tests {
         let (_, blocked) = blocked_fixture();
         let mut cfg = CompositionConfig::fast();
         cfg.retry_attempts = 2;
-        let a = compose_blocked_circuit(&blocked, &cfg);
-        let b = compose_blocked_circuit(&blocked, &cfg);
+        let a = compose_all(&blocked, &cfg);
+        let b = compose_all(&blocked, &cfg);
         assert_eq!(a.circuit.ops(), b.circuit.ops());
         assert_eq!(a.outcomes, b.outcomes);
     }
@@ -1746,14 +1730,13 @@ mod tests {
         let (c, blocked) = blocked_fixture();
         let token = CancelToken::new();
         token.cancel();
-        let composed = try_compose_blocked_circuit_supervised(
+        let composed = compose_with(
             &blocked,
             &CompositionConfig::fast(),
             &ComposeFaults::none(),
             &token,
             &[],
             None,
-            &Telemetry::disabled(),
         )
         .expect("cancellation degrades, it does not error");
         assert_eq!(composed.stats.blocks_composed, 0);
@@ -1780,14 +1763,13 @@ mod tests {
         let recorder = Recorder {
             seen: Mutex::new(Vec::new()),
         };
-        let composed = try_compose_blocked_circuit_supervised(
+        let composed = compose_with(
             &blocked,
             &CompositionConfig::fast(),
             &ComposeFaults::none(),
             &CancelToken::none(),
             &[],
             Some(&recorder),
-            &Telemetry::disabled(),
         )
         .unwrap();
         let mut seen = recorder.seen.into_inner().unwrap();
@@ -1805,14 +1787,13 @@ mod tests {
         let recorder = Recorder {
             seen: Mutex::new(Vec::new()),
         };
-        let full = try_compose_blocked_circuit_supervised(
+        let full = compose_with(
             &blocked,
             &cfg,
             &ComposeFaults::none(),
             &CancelToken::none(),
             &[],
             Some(&recorder),
-            &Telemetry::disabled(),
         )
         .unwrap();
         // Build a partial checkpoint: keep only the first recorded
@@ -1826,14 +1807,13 @@ mod tests {
         let resumed_recorder = Recorder {
             seen: Mutex::new(Vec::new()),
         };
-        let resumed = try_compose_blocked_circuit_supervised(
+        let resumed = compose_with(
             &blocked,
             &cfg,
             &ComposeFaults::none(),
             &CancelToken::none(),
             &prior,
             Some(&resumed_recorder),
-            &Telemetry::disabled(),
         )
         .unwrap();
         // Same seed + per-block seeding ⇒ bit-identical to the
@@ -1853,7 +1833,7 @@ mod tests {
     fn repeated_blocked_fixture(layers: usize) -> (Circuit, BlockedCircuit) {
         let lat = Lattice::triangular(2, 2);
         let c = geyser_workloads::qaoa_fixed(4, layers, 5);
-        let blocked = block_circuit(&c, &lat, &BlockingConfig::default());
+        let blocked = block(&c, &lat);
         (c, blocked)
     }
 

@@ -20,13 +20,13 @@
 //!
 //! ```
 //! use geyser_circuit::Circuit;
-//! use geyser_compose::{compose_block, CompositionConfig};
+//! use geyser_compose::{try_compose_block, CompositionConfig};
 //!
 //! // A block that is secretly a CCZ decomposed into many gates will
 //! // compose down to a handful of pulses.
 //! let mut block = Circuit::new(3);
 //! block.h(2).ccz(0, 1, 2).h(2); // 7 pulses already — tiny example
-//! let result = compose_block(&block, &CompositionConfig::fast());
+//! let result = try_compose_block(&block, &CompositionConfig::fast()).unwrap();
 //! assert!(result.circuit.total_pulses() <= block.total_pulses());
 //! ```
 
@@ -40,10 +40,9 @@ mod quad;
 
 pub use ansatz::{Ansatz, AnsatzKernel, Entangler};
 pub use composer::{
-    compose_block, compose_blocked_circuit, try_compose_block, try_compose_blocked_circuit,
-    try_compose_blocked_circuit_reusing, try_compose_blocked_circuit_supervised,
-    try_compose_blocked_circuit_with_faults, BlockObserver, BlockOutcome, ComposeFaults,
-    ComposedCircuit, CompositionConfig, CompositionResult, CompositionStats, FallbackReason,
+    try_compose_block, try_compose_blocked_circuit_reusing, BlockObserver, BlockOutcome,
+    ComposeFaults, ComposedCircuit, CompositionConfig, CompositionResult, CompositionStats,
+    FallbackReason,
 };
 pub use error::ComposeError;
 pub use geyser_optimize::{CancelToken, Deadline};

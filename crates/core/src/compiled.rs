@@ -85,7 +85,7 @@ impl CompiledCircuit {
     /// Per-pass instrumentation from the pipeline run.
     ///
     /// Present whenever the circuit came out of a
-    /// [`crate::PassManager`] (including [`crate::compile`]), and for
+    /// [`crate::PassManager`] (including [`crate::try_compile`]), and for
     /// circuits a cache replayed with [`CompiledCircuit::attach_report`]
     /// (their `passes` list is empty — no pass ran in this process).
     pub fn report(&self) -> Option<&CompileReport> {

@@ -9,9 +9,8 @@ use geyser_sim::SimError;
 
 /// Why a compilation (or evaluation) could not complete.
 ///
-/// Every pipeline stage reports failures through this enum; the
-/// panicking entry points ([`crate::compile`], [`crate::evaluate_tvd`])
-/// are thin shims that panic with the [`fmt::Display`] rendering.
+/// Every pipeline stage reports failures through this enum, returned by
+/// [`crate::try_compile`] and [`crate::try_evaluate_tvd`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CompileError {

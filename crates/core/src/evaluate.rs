@@ -3,7 +3,7 @@
 use geyser_circuit::Circuit;
 use geyser_sim::{
     ideal_distribution, total_variation_distance, try_ideal_distribution,
-    try_sample_noisy_distribution_traced, NoiseModel, SimFaults,
+    try_sample_noisy_distribution, NoiseModel, SimFaults,
 };
 use geyser_telemetry::Telemetry;
 
@@ -40,12 +40,12 @@ pub fn ideal_logical_distribution(compiled: &CompiledCircuit) -> Vec<f64> {
 /// # Example
 ///
 /// ```
-/// use geyser::{compile, estimated_success_probability, PipelineConfig, Technique};
+/// use geyser::{estimated_success_probability, try_compile, PipelineConfig, Technique};
 /// use geyser_circuit::Circuit;
 /// use geyser_sim::NoiseModel;
 /// let mut c = Circuit::new(2);
 /// c.h(0).cx(0, 1);
-/// let compiled = compile(&c, Technique::OptiMap, &PipelineConfig::fast());
+/// let compiled = try_compile(&c, Technique::OptiMap, &PipelineConfig::fast()).unwrap();
 /// let esp = estimated_success_probability(&compiled, &NoiseModel::symmetric(0.001));
 /// assert!(esp > 0.9 && esp <= 1.0);
 /// ```
@@ -62,51 +62,23 @@ pub fn estimated_success_probability(compiled: &CompiledCircuit, noise: &NoiseMo
 /// Runs the compiled circuit under the noise model and reports TVDs
 /// against the logical program's ideal output.
 ///
-/// Deterministic for fixed inputs and seed.
-///
-/// # Panics
-///
-/// Panics if the program's qubit count differs from the compiled
-/// circuit's logical register, or `trajectories == 0`.
+/// Deterministic for fixed inputs and seed. Returns
+/// [`CompileError::RegisterMismatch`] when the program's qubit count
+/// differs from the compiled circuit's logical register, and
+/// [`CompileError::NoTrajectories`] when `trajectories == 0`.
 ///
 /// # Example
 ///
 /// ```
-/// use geyser::{compile, evaluate_tvd, PipelineConfig, Technique};
+/// use geyser::{try_compile, try_evaluate_tvd, CompileError, PipelineConfig, Technique};
 /// use geyser_circuit::Circuit;
 /// use geyser_sim::NoiseModel;
 ///
 /// let mut c = Circuit::new(2);
 /// c.h(0).cx(0, 1);
-/// let compiled = compile(&c, Technique::OptiMap, &PipelineConfig::fast());
-/// let report = evaluate_tvd(&compiled, &c, &NoiseModel::symmetric(0.001), 50, 1);
+/// let compiled = try_compile(&c, Technique::OptiMap, &PipelineConfig::fast()).unwrap();
+/// let report = try_evaluate_tvd(&compiled, &c, &NoiseModel::symmetric(0.001), 50, 1).unwrap();
 /// assert!(report.tvd_to_ideal < 0.5);
-/// ```
-pub fn evaluate_tvd(
-    compiled: &CompiledCircuit,
-    program: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> TvdReport {
-    try_evaluate_tvd(compiled, program, noise, trajectories, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`evaluate_tvd`]: returns
-/// [`CompileError::RegisterMismatch`] or
-/// [`CompileError::NoTrajectories`] instead of panicking on invalid
-/// inputs.
-///
-/// # Example
-///
-/// ```
-/// use geyser::{compile, try_evaluate_tvd, CompileError, PipelineConfig, Technique};
-/// use geyser_circuit::Circuit;
-/// use geyser_sim::NoiseModel;
-///
-/// let mut c = Circuit::new(2);
-/// c.h(0).cx(0, 1);
-/// let compiled = compile(&c, Technique::OptiMap, &PipelineConfig::fast());
 /// let err = try_evaluate_tvd(&compiled, &c, &NoiseModel::noiseless(), 0, 0);
 /// assert!(matches!(err, Err(CompileError::NoTrajectories)));
 /// ```
@@ -117,43 +89,25 @@ pub fn try_evaluate_tvd(
     trajectories: usize,
     seed: u64,
 ) -> Result<TvdReport, CompileError> {
-    try_evaluate_tvd_with_faults(
-        compiled,
-        program,
-        noise,
-        trajectories,
-        seed,
-        &SimFaults::none(),
-    )
-}
-
-/// [`try_evaluate_tvd`] with test/bench-only sampler fault injection
-/// (see [`crate::FaultInjector`]).
-///
-/// Numerical-health failures that survive the sampler's bounded
-/// rejection-and-resample surface as [`CompileError::Sim`].
-pub fn try_evaluate_tvd_with_faults(
-    compiled: &CompiledCircuit,
-    program: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    faults: &SimFaults,
-) -> Result<TvdReport, CompileError> {
     try_evaluate_tvd_traced(
         compiled,
         program,
         noise,
         trajectories,
         seed,
-        faults,
+        &SimFaults::none(),
         &Telemetry::disabled(),
     )
 }
 
-/// [`try_evaluate_tvd_with_faults`] recording sampler telemetry
-/// (`sim.sample` span, trajectory/resample counters). Observational
-/// only: results are bit-identical with telemetry enabled or disabled.
+/// [`try_evaluate_tvd`] with test/bench-only sampler fault injection
+/// (see [`crate::FaultInjector`]) and sampler telemetry (`sim.sample`
+/// span, trajectory/resample counters).
+///
+/// Numerical-health failures that survive the sampler's bounded
+/// rejection-and-resample surface as [`CompileError::Sim`]. Telemetry
+/// is observational only: results are bit-identical with it enabled or
+/// disabled.
 #[allow(clippy::too_many_arguments)]
 pub fn try_evaluate_tvd_traced(
     compiled: &CompiledCircuit,
@@ -178,7 +132,7 @@ pub fn try_evaluate_tvd_traced(
     let compiled_ideal = ideal_logical_distribution(compiled);
     let compilation_tvd = total_variation_distance(&ideal, &compiled_ideal);
 
-    let noisy_nodes = try_sample_noisy_distribution_traced(
+    let noisy_nodes = try_sample_noisy_distribution(
         compiled.mapped().circuit(),
         noise,
         trajectories,
@@ -199,7 +153,21 @@ pub fn try_evaluate_tvd_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, PipelineConfig, Technique};
+    use crate::{try_compile, PipelineConfig, Technique};
+
+    fn build(program: &Circuit, technique: Technique, cfg: &PipelineConfig) -> CompiledCircuit {
+        try_compile(program, technique, cfg).unwrap()
+    }
+
+    fn tvd_report(
+        compiled: &CompiledCircuit,
+        program: &Circuit,
+        noise: &NoiseModel,
+        trajectories: usize,
+        seed: u64,
+    ) -> TvdReport {
+        try_evaluate_tvd(compiled, program, noise, trajectories, seed).unwrap()
+    }
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -213,8 +181,8 @@ mod tests {
     #[test]
     fn noiseless_evaluation_matches_compilation_floor() {
         let program = ghz(3);
-        let compiled = compile(&program, Technique::OptiMap, &PipelineConfig::fast());
-        let report = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+        let compiled = build(&program, Technique::OptiMap, &PipelineConfig::fast());
+        let report = tvd_report(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
         assert!(report.compilation_tvd < 1e-9);
         assert!((report.tvd_to_ideal - report.compilation_tvd).abs() < 1e-12);
     }
@@ -224,8 +192,8 @@ mod tests {
         // Paper Sec. 6: ideal-output divergence of composed circuits
         // stays well below 1e-2.
         let program = ghz(4);
-        let compiled = compile(&program, Technique::Geyser, &PipelineConfig::fast());
-        let report = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+        let compiled = build(&program, Technique::Geyser, &PipelineConfig::fast());
+        let report = tvd_report(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
         assert!(
             report.compilation_tvd < 1e-2,
             "floor = {}",
@@ -236,9 +204,9 @@ mod tests {
     #[test]
     fn higher_noise_gives_higher_tvd() {
         let program = ghz(3);
-        let compiled = compile(&program, Technique::Baseline, &PipelineConfig::fast());
-        let low = evaluate_tvd(&compiled, &program, &NoiseModel::symmetric(0.001), 300, 7);
-        let high = evaluate_tvd(&compiled, &program, &NoiseModel::symmetric(0.02), 300, 7);
+        let compiled = build(&program, Technique::Baseline, &PipelineConfig::fast());
+        let low = tvd_report(&compiled, &program, &NoiseModel::symmetric(0.001), 300, 7);
+        let high = tvd_report(&compiled, &program, &NoiseModel::symmetric(0.02), 300, 7);
         assert!(low.tvd_to_ideal < high.tvd_to_ideal);
     }
 
@@ -255,11 +223,11 @@ mod tests {
         program.cx(0, 1).cx(0, 1);
         let cfg = PipelineConfig::fast();
         let noise = NoiseModel::symmetric(0.005);
-        let base = compile(&program, Technique::Baseline, &cfg);
-        let opti = compile(&program, Technique::OptiMap, &cfg);
+        let base = build(&program, Technique::Baseline, &cfg);
+        let opti = build(&program, Technique::OptiMap, &cfg);
         assert!(opti.total_pulses() < base.total_pulses());
-        let tvd_base = evaluate_tvd(&base, &program, &noise, 400, 3).tvd_to_ideal;
-        let tvd_opti = evaluate_tvd(&opti, &program, &noise, 400, 3).tvd_to_ideal;
+        let tvd_base = tvd_report(&base, &program, &noise, 400, 3).tvd_to_ideal;
+        let tvd_opti = tvd_report(&opti, &program, &noise, 400, 3).tvd_to_ideal;
         assert!(
             tvd_opti < tvd_base,
             "OptiMap {tvd_opti} !< Baseline {tvd_base}"
@@ -276,26 +244,32 @@ mod tests {
         let cfg = PipelineConfig::fast();
         let noise = NoiseModel::symmetric(0.002);
         let esp_small =
-            estimated_success_probability(&compile(&small, Technique::Baseline, &cfg), &noise);
+            estimated_success_probability(&build(&small, Technique::Baseline, &cfg), &noise);
         let esp_big =
-            estimated_success_probability(&compile(&big, Technique::Baseline, &cfg), &noise);
+            estimated_success_probability(&build(&big, Technique::Baseline, &cfg), &noise);
         assert!(esp_small > esp_big);
         assert!(esp_small <= 1.0 && esp_big > 0.0);
     }
 
     #[test]
     fn esp_is_one_without_noise() {
-        let compiled = compile(&ghz(3), Technique::OptiMap, &PipelineConfig::fast());
+        let compiled = build(&ghz(3), Technique::OptiMap, &PipelineConfig::fast());
         let esp = estimated_success_probability(&compiled, &NoiseModel::noiseless());
         assert!((esp - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "register mismatch")]
-    fn program_size_mismatch_panics() {
+    fn program_size_mismatch_is_typed() {
         let program = ghz(3);
-        let compiled = compile(&program, Technique::Baseline, &PipelineConfig::fast());
+        let compiled = build(&program, Technique::Baseline, &PipelineConfig::fast());
         let other = ghz(4);
-        let _ = evaluate_tvd(&compiled, &other, &NoiseModel::noiseless(), 1, 0);
+        let err = try_evaluate_tvd(&compiled, &other, &NoiseModel::noiseless(), 1, 0);
+        assert!(matches!(
+            err,
+            Err(CompileError::RegisterMismatch {
+                program_qubits: 4,
+                compiled_qubits: 3
+            })
+        ));
     }
 }

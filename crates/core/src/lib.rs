@@ -22,16 +22,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use geyser::{compile, PipelineConfig, Technique};
+//! use geyser::{try_compile, PipelineConfig, Technique};
 //! use geyser_circuit::Circuit;
 //!
 //! let mut program = Circuit::new(3);
 //! program.h(0).cx(0, 1).cx(1, 2);
 //!
 //! let cfg = PipelineConfig::fast(); // reduced budgets for docs/tests
-//! let baseline = compile(&program, Technique::Baseline, &cfg);
-//! let geyser = compile(&program, Technique::Geyser, &cfg);
+//! let baseline = try_compile(&program, Technique::Baseline, &cfg)?;
+//! let geyser = try_compile(&program, Technique::Geyser, &cfg)?;
 //! assert!(geyser.total_pulses() <= baseline.total_pulses());
+//! # Ok::<(), geyser::CompileError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,8 +55,8 @@ pub use compiled::CompiledCircuit;
 pub use config::PipelineConfig;
 pub use error::{CompileError, ErrorClass};
 pub use evaluate::{
-    estimated_success_probability, evaluate_tvd, ideal_logical_distribution, try_evaluate_tvd,
-    try_evaluate_tvd_traced, try_evaluate_tvd_with_faults, TvdReport,
+    estimated_success_probability, ideal_logical_distribution, try_evaluate_tvd,
+    try_evaluate_tvd_traced, TvdReport,
 };
 pub use fault::{FaultInjector, FaultSpecError};
 pub use geyser_store::{
@@ -69,7 +70,7 @@ pub use report::{CompileReport, PassReport, SupervisionStats, VerificationStats}
 // whole pipeline; `geyser::store::*` paths keep working via this
 // re-export.
 pub use geyser_store as store;
-pub use technique::{compile, try_compile, Technique};
+pub use technique::{try_compile, Technique};
 pub use verify::{verification_allowance, verification_stats, verify_compiled};
 
 // Re-export the component crates so downstream users need only one

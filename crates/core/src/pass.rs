@@ -292,7 +292,7 @@ impl PassManager {
     }
 
     /// The declarative pipeline for one of the paper's techniques —
-    /// equivalent to what [`crate::compile`] runs.
+    /// equivalent to what [`crate::try_compile`] runs.
     pub fn for_technique(technique: Technique) -> Self {
         Self::new(technique, technique.pass_list())
     }

@@ -3,12 +3,12 @@
 //! Each pass is a thin adapter over its home crate's fallible entry
 //! point (`geyser_map::try_map_circuit`,
 //! `geyser_blocking::try_block_circuit`,
-//! `geyser_compose::try_compose_blocked_circuit`); the algorithms
-//! themselves live in those crates.
+//! `geyser_compose::try_compose_blocked_circuit_reusing`); the
+//! algorithms themselves live in those crates.
 
-use geyser_blocking::try_block_circuit_traced;
-use geyser_compose::{try_compose_blocked_circuit_reusing, try_compose_blocked_circuit_supervised};
-use geyser_map::{optimize_to_fixpoint, try_map_circuit_traced, MappingOptions};
+use geyser_blocking::try_block_circuit;
+use geyser_compose::{try_compose_blocked_circuit_reusing, BlockObserver, CompositionResult};
+use geyser_map::{optimize_to_fixpoint, try_map_circuit, MappingOptions};
 use geyser_optimize::Deadline;
 use geyser_reuse::{load_reuse_dir, reuse_config_hash, save_reuse_dir, ReuseSession};
 
@@ -107,8 +107,7 @@ impl Pass for MapPass {
             pass: "map",
             requires: "allocate-lattice",
         })?;
-        let mapped =
-            try_map_circuit_traced(ctx.program(), lattice, &self.options, ctx.telemetry())?;
+        let mapped = try_map_circuit(ctx.program(), lattice, &self.options, ctx.telemetry())?;
         ctx.set_mapped(mapped);
         Ok(())
     }
@@ -140,8 +139,7 @@ impl Pass for BlockPass {
         if blocking.max_blocks_per_round.is_none() {
             blocking.max_blocks_per_round = ctx.config().hardware.parallel_block_limit();
         }
-        let blocked =
-            try_block_circuit_traced(mapped.circuit(), lattice, &blocking, ctx.telemetry())?;
+        let blocked = try_block_circuit(mapped.circuit(), lattice, &blocking, ctx.telemetry())?;
         ctx.set_blocked(blocked);
         Ok(())
     }
@@ -158,90 +156,99 @@ impl Pass for ComposePass {
     }
 
     fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
-        let blocked = ctx.blocked().ok_or(CompileError::MissingStage {
-            pass: "compose",
-            requires: "block",
-        })?;
-        // Thread the pipeline budget into the per-block search; a
-        // forced-timeout fault overrides it so every block must prove
-        // it degrades to `budget-exhausted` fallback.
-        let mut cfg = ctx.config().composition;
-        if ctx.faults().force_compose_timeout {
-            cfg = cfg.with_deadline(Deadline::already_expired());
-        } else if ctx.deadline().is_bounded() {
-            cfg = cfg.with_deadline(ctx.deadline());
+        run_compose(ctx, &[], None)
+    }
+}
+
+/// The compose stage body shared by [`ComposePass`] and
+/// checkpoint-aware replacements registered under the same pass name.
+///
+/// Composes the context's blocked circuit with
+/// [`try_compose_blocked_circuit_reusing`] and installs the result.
+/// `prior` restores per-block results from an interrupted run (`&[]`
+/// composes every block fresh) and `observer` is told about each
+/// freshly composed block; both are passed through unchanged. The
+/// pipeline budget, fault plan, cancellation token and telemetry come
+/// from `ctx`, and a reuse session is built (and its store loaded and
+/// saved) when [`crate::PipelineConfig::reuse`] is enabled.
+pub fn run_compose(
+    ctx: &mut CompileContext<'_>,
+    prior: &[Option<CompositionResult>],
+    observer: Option<&dyn BlockObserver>,
+) -> Result<(), CompileError> {
+    let blocked = ctx.blocked().ok_or(CompileError::MissingStage {
+        pass: "compose",
+        requires: "block",
+    })?;
+    // Thread the pipeline budget into the per-block search; a
+    // forced-timeout fault overrides it so every block must prove it
+    // degrades to `budget-exhausted` fallback.
+    let mut cfg = ctx.config().composition;
+    if ctx.faults().force_compose_timeout {
+        cfg = cfg.with_deadline(Deadline::already_expired());
+    } else if ctx.deadline().is_bounded() {
+        cfg = cfg.with_deadline(ctx.deadline());
+    }
+    // The reuse session is keyed to this exact scenario: entries only
+    // replay under the same hardware digest and the same
+    // acceptance-relevant composition knobs.
+    let reuse = &ctx.config().reuse;
+    let mut session = reuse.enabled.then(|| {
+        ReuseSession::new(
+            ctx.config().hardware.digest(),
+            reuse_config_hash(
+                cfg.epsilon,
+                cfg.max_layers,
+                cfg.anneal_iters,
+                cfg.restarts,
+                cfg.retry_attempts,
+            ),
+        )
+        .with_warm_start(reuse.warm_start)
+        .with_skip_verify_fault(ctx.faults().reuse_skip_verify)
+    });
+    if let Some(session) = session.as_mut() {
+        if let Some(dir) = &reuse.store {
+            load_reuse_dir(dir, session, ctx.telemetry()).map_err(|e| {
+                CompileError::ReuseStore {
+                    detail: format!("loading {}: {e}", dir.display()),
+                }
+            })?;
         }
-        let reuse = ctx.config().reuse.clone();
-        let mut composed = if reuse.enabled {
-            // Build the reuse session keyed to this exact scenario:
-            // entries only replay under the same hardware digest and
-            // the same acceptance-relevant composition knobs.
-            let mut session = ReuseSession::new(
-                ctx.config().hardware.digest(),
-                reuse_config_hash(
-                    cfg.epsilon,
-                    cfg.max_layers,
-                    cfg.anneal_iters,
-                    cfg.restarts,
-                    cfg.retry_attempts,
-                ),
-            )
-            .with_warm_start(reuse.warm_start)
-            .with_skip_verify_fault(ctx.faults().reuse_skip_verify);
-            if let Some(dir) = &reuse.store {
-                load_reuse_dir(dir, &mut session, ctx.telemetry()).map_err(|e| {
-                    CompileError::ReuseStore {
-                        detail: format!("loading {}: {e}", dir.display()),
-                    }
-                })?;
-            }
-            if ctx.faults().reuse_poison {
-                session.poison_entries();
-            }
-            let composed = try_compose_blocked_circuit_reusing(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &[],
-                None,
-                ctx.telemetry(),
-                Some(&mut session),
-            )?;
-            if let Some(dir) = &reuse.store {
-                save_reuse_dir(dir, &mut session).map_err(|e| CompileError::ReuseStore {
-                    detail: format!("saving {}: {e}", dir.display()),
-                })?;
-            }
-            (composed, Some(session.stats))
-        } else {
-            let composed = try_compose_blocked_circuit_supervised(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &[],
-                None,
-                ctx.telemetry(),
-            )?;
-            (composed, None)
-        };
+        if ctx.faults().reuse_poison {
+            session.poison_entries();
+        }
+    }
+    let mut composed = try_compose_blocked_circuit_reusing(
+        blocked,
+        &cfg,
+        &ctx.faults().compose,
+        ctx.cancel(),
+        prior,
+        observer,
+        ctx.telemetry(),
+        session.as_mut(),
+    )?;
+    if let Some(mut session) = session {
+        if let Some(dir) = &reuse.store {
+            save_reuse_dir(dir, &mut session).map_err(|e| CompileError::ReuseStore {
+                detail: format!("saving {}: {e}", dir.display()),
+            })?;
+        }
         // Fold the final session stats (including store save counts)
         // back into the stats the report reads.
-        if let Some(stats) = composed.1 {
-            composed.0.stats.reuse = Some(stats);
-        }
-        ctx.set_composed(composed.0.circuit, composed.0.stats);
-        // A token that fired mid-composition left the remaining blocks
-        // uncomposed; surface the typed terminal state instead of
-        // finalizing a silently degraded circuit.
-        if ctx.cancel().is_cancelled() {
-            return Err(CompileError::Cancelled {
-                pass: "compose".to_string(),
-            });
-        }
-        Ok(())
+        composed.stats.reuse = Some(session.stats);
     }
+    ctx.set_composed(composed.circuit, composed.stats);
+    // A token that fired mid-composition left the remaining blocks
+    // uncomposed; surface the typed terminal state instead of
+    // finalizing a silently degraded circuit.
+    if ctx.cancel().is_cancelled() {
+        return Err(CompileError::Cancelled {
+            pass: "compose".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Final cleanup after composition: block substitution can expose new

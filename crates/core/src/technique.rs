@@ -65,7 +65,7 @@ impl Technique {
     }
 
     /// The declarative pass list implementing this technique — the
-    /// pipeline [`crate::compile`] runs, spelled out as data.
+    /// pipeline [`crate::try_compile`] runs, spelled out as data.
     pub fn pass_list(self) -> Vec<Box<dyn Pass>> {
         match self {
             Technique::Baseline => vec![
@@ -97,39 +97,21 @@ impl fmt::Display for Technique {
     }
 }
 
-/// Compiles a logical program with the given technique.
-///
-/// # Panics
-///
-/// Panics if the program has zero qubits.
-///
-/// # Example
-///
-/// ```
-/// use geyser::{compile, PipelineConfig, Technique};
-/// use geyser_circuit::Circuit;
-/// let mut c = Circuit::new(2);
-/// c.h(0).cx(0, 1);
-/// let compiled = compile(&c, Technique::OptiMap, &PipelineConfig::fast());
-/// assert!(compiled.mapped().circuit().is_native_basis());
-/// ```
-pub fn compile(
-    program: &Circuit,
-    technique: Technique,
-    config: &PipelineConfig,
-) -> CompiledCircuit {
-    try_compile(program, technique, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`compile`]: runs the technique's pass list
-/// through a [`PassManager`] and returns a typed [`CompileError`]
-/// instead of panicking.
+/// Compiles a logical program with the given technique: runs the
+/// technique's pass list through a [`PassManager`] and returns a typed
+/// [`CompileError`] on failure (for example
+/// [`CompileError::EmptyProgram`] for a zero-qubit program).
 ///
 /// # Example
 ///
 /// ```
 /// use geyser::{try_compile, CompileError, PipelineConfig, Technique};
 /// use geyser_circuit::Circuit;
+/// let mut c = Circuit::new(2);
+/// c.h(0).cx(0, 1);
+/// let compiled = try_compile(&c, Technique::OptiMap, &PipelineConfig::fast()).unwrap();
+/// assert!(compiled.mapped().circuit().is_native_basis());
+///
 /// let empty = Circuit::new(0);
 /// let err = try_compile(&empty, Technique::Baseline, &PipelineConfig::fast());
 /// assert!(matches!(err, Err(CompileError::EmptyProgram)));
@@ -146,6 +128,10 @@ pub fn try_compile(
 mod tests {
     use super::*;
 
+    fn build(program: &Circuit, technique: Technique, cfg: &PipelineConfig) -> CompiledCircuit {
+        try_compile(program, technique, cfg).unwrap()
+    }
+
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         c.h(0);
@@ -159,7 +145,7 @@ mod tests {
     fn all_techniques_produce_native_circuits() {
         let program = ghz(4);
         for t in Technique::ALL {
-            let compiled = compile(&program, t, &PipelineConfig::fast());
+            let compiled = build(&program, t, &PipelineConfig::fast());
             assert!(
                 compiled.mapped().circuit().is_native_basis(),
                 "{t} not native"
@@ -172,7 +158,7 @@ mod tests {
     fn superconducting_never_emits_ccz() {
         let mut program = ghz(4);
         program.ccx(0, 1, 2); // forces a Toffoli through the pipeline
-        let compiled = compile(
+        let compiled = build(
             &program,
             Technique::Superconducting,
             &PipelineConfig::fast(),
@@ -184,8 +170,8 @@ mod tests {
     fn optimap_beats_baseline_on_pulses() {
         let program = ghz(5);
         let cfg = PipelineConfig::fast();
-        let base = compile(&program, Technique::Baseline, &cfg);
-        let opti = compile(&program, Technique::OptiMap, &cfg);
+        let base = build(&program, Technique::Baseline, &cfg);
+        let opti = build(&program, Technique::OptiMap, &cfg);
         assert!(opti.total_pulses() <= base.total_pulses());
     }
 
@@ -193,19 +179,19 @@ mod tests {
     fn geyser_never_worse_than_optimap() {
         let program = ghz(5);
         let cfg = PipelineConfig::fast();
-        let opti = compile(&program, Technique::OptiMap, &cfg);
-        let geyser = compile(&program, Technique::Geyser, &cfg);
+        let opti = build(&program, Technique::OptiMap, &cfg);
+        let geyser = build(&program, Technique::Geyser, &cfg);
         assert!(geyser.total_pulses() <= opti.total_pulses());
     }
 
     #[test]
     fn geyser_records_composition_stats() {
         let program = ghz(4);
-        let compiled = compile(&program, Technique::Geyser, &PipelineConfig::fast());
+        let compiled = build(&program, Technique::Geyser, &PipelineConfig::fast());
         let stats = compiled.composition_stats().expect("geyser has stats");
         assert!(stats.blocks_total > 0);
         assert!(
-            compile(&program, Technique::Baseline, &PipelineConfig::fast())
+            build(&program, Technique::Baseline, &PipelineConfig::fast())
                 .composition_stats()
                 .is_none()
         );

@@ -10,7 +10,10 @@ use geyser_verify::VerifyConfig;
 /// Compiles `circuit` with the Geyser technique under `cfg`, returning
 /// the compiled circuit plus the annealer-evaluation count telemetry
 /// observed for the run.
-fn compile(circuit: &geyser::circuit::Circuit, cfg: &PipelineConfig) -> (CompiledCircuit, u64) {
+fn compile_counting_evals(
+    circuit: &geyser::circuit::Circuit,
+    cfg: &PipelineConfig,
+) -> (CompiledCircuit, u64) {
     let telemetry = Telemetry::enabled();
     let compiled = PassManager::for_technique(Technique::Geyser)
         .with_telemetry(telemetry.clone())
@@ -35,8 +38,8 @@ fn reuse_cuts_annealing_on_deep_fixed_angle_qaoa() {
     let circuit = qaoa_fixed(4, 10, 3);
     let cfg = PipelineConfig::fast().with_seed(11);
 
-    let (baseline, base_evals) = compile(&circuit, &cfg);
-    let (reused, reuse_evals) = compile(&circuit, &cfg.clone().with_reuse());
+    let (baseline, base_evals) = compile_counting_evals(&circuit, &cfg);
+    let (reused, reuse_evals) = compile_counting_evals(&circuit, &cfg.clone().with_reuse());
 
     let stats = reused
         .report()
@@ -80,7 +83,7 @@ fn persistent_store_replays_across_jobs() {
     let cfg = PipelineConfig::fast().with_seed(23).with_reuse_store(&dir);
 
     // Job 1 seeds the store.
-    let (first, first_evals) = compile(&circuit, &cfg);
+    let (first, first_evals) = compile_counting_evals(&circuit, &cfg);
     let first_stats = first.report().unwrap().reuse.unwrap();
     println!("job1 evals={first_evals} stats={first_stats:?}");
     assert!(first_stats.store_entries_saved > 0, "{first_stats:?}");
@@ -88,7 +91,7 @@ fn persistent_store_replays_across_jobs() {
     // Job 2 is a fresh process-equivalent session over the same store:
     // every fingerprint it computes is already cached, so annealing is
     // skipped wholesale.
-    let (second, second_evals) = compile(&circuit, &cfg);
+    let (second, second_evals) = compile_counting_evals(&circuit, &cfg);
     let second_stats = second.report().unwrap().reuse.unwrap();
     println!("job2 evals={second_evals} stats={second_stats:?}");
     let outcomes = store_outcomes(&dir);

@@ -20,13 +20,15 @@
 //!
 //! ```
 //! use geyser_circuit::Circuit;
-//! use geyser_map::{map_circuit, MappingOptions};
+//! use geyser_map::{try_map_circuit, MappingOptions};
+//! use geyser_telemetry::Telemetry;
 //! use geyser_topology::Lattice;
 //!
 //! let mut c = Circuit::new(3);
 //! c.h(0).cx(0, 1).cx(1, 2);
 //! let lat = Lattice::triangular_for(3);
-//! let mapped = map_circuit(&c, &lat, &MappingOptions::optimized());
+//! let opts = MappingOptions::optimized();
+//! let mapped = try_map_circuit(&c, &lat, &opts, &Telemetry::disabled()).unwrap();
 //! assert!(mapped.circuit().is_native_basis());
 //! ```
 
@@ -47,9 +49,7 @@ pub use basis::to_native_basis;
 pub use error::MapError;
 pub use layout::Layout;
 pub use lower::lower_to_two_qubit;
-pub use mapped::{
-    map_circuit, try_map_circuit, try_map_circuit_traced, MappedCircuit, MappingOptions,
-};
+pub use mapped::{try_map_circuit, MappedCircuit, MappingOptions};
 pub use passes::{
     cancel_cz_pairs, fuse_single_qubit_runs, optimize_to_fixpoint, remove_identities,
 };

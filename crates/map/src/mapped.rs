@@ -9,7 +9,7 @@ use crate::{
     Layout, MapError,
 };
 
-/// Options controlling [`map_circuit`].
+/// Options controlling [`try_map_circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappingOptions {
     /// Run the OptiMap optimization passes after basis translation.
@@ -227,63 +227,35 @@ impl MappedCircuit {
 /// 4. translate to the native `{U3, CZ}` basis,
 /// 5. (OptiMap only) run optimization passes to fixpoint.
 ///
-/// # Panics
+/// Returns [`MapError::LatticeTooSmall`] when the lattice cannot host
+/// the program.
 ///
-/// Panics if the lattice has fewer nodes than the circuit has qubits.
-///
-/// # Example
-///
-/// ```
-/// use geyser_circuit::Circuit;
-/// use geyser_map::{map_circuit, MappingOptions};
-/// use geyser_topology::Lattice;
-///
-/// let mut c = Circuit::new(4);
-/// c.h(0).cx(0, 3).cx(1, 2);
-/// let lat = Lattice::triangular_for(4);
-/// let baseline = map_circuit(&c, &lat, &MappingOptions::baseline());
-/// let optimap = map_circuit(&c, &lat, &MappingOptions::optimized());
-/// assert!(optimap.total_pulses() <= baseline.total_pulses());
-/// ```
-pub fn map_circuit(
-    logical: &Circuit,
-    lattice: &Lattice,
-    options: &MappingOptions,
-) -> MappedCircuit {
-    try_map_circuit(logical, lattice, options).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`map_circuit`]: returns
-/// [`MapError::LatticeTooSmall`] instead of panicking when the lattice
-/// cannot host the program.
+/// `telemetry` opens a span per mapping stage (category `map`) and
+/// counts routed SWAP insertions under `map.swaps_inserted`; a disabled
+/// handle records nothing. Instrumentation never feeds back into
+/// mapping decisions.
 ///
 /// # Example
 ///
 /// ```
 /// use geyser_circuit::Circuit;
 /// use geyser_map::{try_map_circuit, MapError, MappingOptions};
+/// use geyser_telemetry::Telemetry;
 /// use geyser_topology::Lattice;
 ///
-/// let mut c = Circuit::new(6);
-/// c.h(0).cx(0, 5);
-/// let tiny = Lattice::triangular(1, 2); // 2 nodes for 6 qubits
-/// let err = try_map_circuit(&c, &tiny, &MappingOptions::baseline());
+/// let off = Telemetry::disabled();
+/// let mut c = Circuit::new(4);
+/// c.h(0).cx(0, 3).cx(1, 2);
+/// let lat = Lattice::triangular_for(4);
+/// let baseline = try_map_circuit(&c, &lat, &MappingOptions::baseline(), &off).unwrap();
+/// let optimap = try_map_circuit(&c, &lat, &MappingOptions::optimized(), &off).unwrap();
+/// assert!(optimap.total_pulses() <= baseline.total_pulses());
+///
+/// let tiny = Lattice::triangular(1, 2); // 2 nodes for 4 qubits
+/// let err = try_map_circuit(&c, &tiny, &MappingOptions::baseline(), &off);
 /// assert!(matches!(err, Err(MapError::LatticeTooSmall { .. })));
 /// ```
 pub fn try_map_circuit(
-    logical: &Circuit,
-    lattice: &Lattice,
-    options: &MappingOptions,
-) -> Result<MappedCircuit, MapError> {
-    try_map_circuit_traced(logical, lattice, options, &Telemetry::disabled())
-}
-
-/// [`try_map_circuit`] with telemetry: opens a span per mapping stage
-/// (category `map`) and counts routed SWAP insertions under
-/// `map.swaps_inserted`. A disabled handle makes this identical to the
-/// untraced form — instrumentation never feeds back into mapping
-/// decisions.
-pub fn try_map_circuit_traced(
     logical: &Circuit,
     lattice: &Lattice,
     options: &MappingOptions,
@@ -340,6 +312,10 @@ mod tests {
     use super::*;
     use geyser_sim::{ideal_distribution, total_variation_distance};
 
+    fn map(logical: &Circuit, lattice: &Lattice, options: &MappingOptions) -> MappedCircuit {
+        try_map_circuit(logical, lattice, options, &Telemetry::disabled()).unwrap()
+    }
+
     fn logical_output(mapped: &MappedCircuit) -> Vec<f64> {
         mapped.logical_distribution(&ideal_distribution(mapped.circuit()))
     }
@@ -350,7 +326,7 @@ mod tests {
         c.h(0).cx(0, 1).ccx(0, 1, 2);
         let lat = Lattice::triangular_for(3);
         for opts in [MappingOptions::baseline(), MappingOptions::optimized()] {
-            let m = map_circuit(&c, &lat, &opts);
+            let m = map(&c, &lat, &opts);
             assert!(m.circuit().is_native_basis(), "{opts:?}");
         }
     }
@@ -362,7 +338,7 @@ mod tests {
         let lat = Lattice::triangular_for(4);
         let want = ideal_distribution(&c);
         for opts in [MappingOptions::baseline(), MappingOptions::optimized()] {
-            let m = map_circuit(&c, &lat, &opts);
+            let m = map(&c, &lat, &opts);
             let got = logical_output(&m);
             let tvd = total_variation_distance(&want, &got);
             assert!(tvd < 1e-9, "{opts:?}: TVD = {tvd}");
@@ -374,8 +350,8 @@ mod tests {
         let mut c = Circuit::new(5);
         c.h(0).cx(0, 4).h(1).cx(1, 3).t(2).cx(2, 4).cx(0, 1).h(4);
         let lat = Lattice::triangular_for(5);
-        let base = map_circuit(&c, &lat, &MappingOptions::baseline());
-        let opti = map_circuit(&c, &lat, &MappingOptions::optimized());
+        let base = map(&c, &lat, &MappingOptions::baseline());
+        let opti = map(&c, &lat, &MappingOptions::optimized());
         assert!(opti.total_pulses() <= base.total_pulses());
     }
 
@@ -386,7 +362,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.x(0).cx(0, 3);
         let lat = Lattice::square(1, 4);
-        let m = map_circuit(&c, &lat, &MappingOptions::baseline());
+        let m = map(&c, &lat, &MappingOptions::baseline());
         let got = logical_output(&m);
         // Expected: |1001⟩ (q0 = 1 flips q3).
         let want_state = 0b1001;
@@ -398,7 +374,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 2);
         let lat = Lattice::triangular(2, 2); // 4 nodes > 3 qubits
-        let m = map_circuit(&c, &lat, &MappingOptions::optimized());
+        let m = map(&c, &lat, &MappingOptions::optimized());
         let dist = logical_output(&m);
         assert_eq!(dist.len(), 8);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -409,7 +385,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         let lat = Lattice::triangular_for(2);
-        let m = map_circuit(&c, &lat, &MappingOptions::baseline());
+        let m = map(&c, &lat, &MappingOptions::baseline());
         let empty = m.with_circuit(Circuit::new(lat.num_nodes()));
         assert_eq!(empty.total_pulses(), 0);
         assert_eq!(empty.num_logical(), 2);
@@ -420,7 +396,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).cx(2, 3).cx(1, 2);
         let lat = Lattice::triangular_for(4);
-        let m = map_circuit(&c, &lat, &MappingOptions::optimized());
+        let m = map(&c, &lat, &MappingOptions::optimized());
         assert!(m.depth_pulses() <= m.total_pulses());
         assert!(m.depth_pulses() > 0);
     }

@@ -9,7 +9,7 @@ use geyser_store::fnv1a_bytes;
 
 /// Hashes the composition-config fields a reuse entry depends on.
 ///
-/// Mirrors the checkpoint binding: ε, layer cap, annealing budget,
+/// Checkpoints bind to the same hash: ε, layer cap, annealing budget,
 /// restarts, and retry attempts — everything that shapes the annealed
 /// parameters. Seed, thread count, and deadline are deliberately
 /// excluded: reuse across seeds is the whole point, and threads /
@@ -440,5 +440,6 @@ mod tests {
         assert_eq!(h, reuse_config_hash(1e-3, 3, 220, 3, 1));
         assert_ne!(h, reuse_config_hash(1e-3, 2, 220, 3, 1));
         assert_ne!(h, reuse_config_hash(1e-4, 3, 220, 3, 1));
+        assert_ne!(h, reuse_config_hash(1e-3, 3, 221, 3, 1));
     }
 }

@@ -1,7 +1,8 @@
 //! Exact density-matrix simulation of the noise channel.
 //!
-//! The Monte-Carlo trajectory engine ([`crate::sample_noisy_distribution`])
-//! is an *estimator* of the true channel output; this module evolves
+//! The Monte-Carlo trajectory engine
+//! ([`crate::try_sample_noisy_distribution`]) is an *estimator* of the
+//! true channel output; this module evolves
 //! the full density matrix `ρ` exactly, applying the bit-flip and
 //! phase-flip channels in closed form:
 //!
@@ -17,23 +18,8 @@ use geyser_num::{CMatrix, Complex};
 use crate::{embed_gate, NoiseModel};
 
 /// An `n`-qubit mixed state as a `2^n × 2^n` density matrix.
-///
-/// # Example
-///
-/// ```
-/// use geyser_circuit::Circuit;
-/// use geyser_sim::{DensityMatrix, NoiseModel};
-///
-/// let mut c = Circuit::new(2);
-/// c.h(0).cx(0, 1);
-/// let mut rho = DensityMatrix::zero_state(2);
-/// rho.apply_circuit_noisy(&c, &NoiseModel::noiseless());
-/// let p = rho.probabilities();
-/// assert!((p[0] - 0.5).abs() < 1e-12);
-/// assert!((p[3] - 0.5).abs() < 1e-12);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct DensityMatrix {
+pub(crate) struct DensityMatrix {
     num_qubits: usize,
     rho: CMatrix,
 }
@@ -45,7 +31,7 @@ impl DensityMatrix {
     ///
     /// Panics if `num_qubits > 8` (the dense matrix would be > 4 GiB
     /// beyond that).
-    pub fn zero_state(num_qubits: usize) -> Self {
+    pub(crate) fn zero_state(num_qubits: usize) -> Self {
         assert!(num_qubits <= 8, "density matrix limited to 8 qubits");
         let dim = 1usize << num_qubits;
         let mut rho = CMatrix::zeros(dim, dim);
@@ -53,24 +39,8 @@ impl DensityMatrix {
         DensityMatrix { num_qubits, rho }
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// Borrows the underlying matrix.
-    pub fn as_matrix(&self) -> &CMatrix {
-        &self.rho
-    }
-
-    /// Replaces the underlying matrix (used by channel application).
-    pub(crate) fn set_matrix(&mut self, rho: CMatrix) {
-        debug_assert_eq!(rho.rows(), 1 << self.num_qubits);
-        self.rho = rho;
-    }
-
     /// Applies a unitary operation: `ρ → U ρ U†`.
-    pub fn apply_operation(&mut self, op: &Operation) {
+    pub(crate) fn apply_operation(&mut self, op: &Operation) {
         let u = embed_gate(&op.gate().matrix(), op.qubits(), self.num_qubits);
         self.rho = u.matmul(&self.rho).matmul(&u.dagger());
     }
@@ -90,7 +60,7 @@ impl DensityMatrix {
     /// Applies the noise model's channel for `op`: for each channel
     /// invocation (per pulse or per op, per the model's granularity)
     /// and each engaged qubit, the bit-flip then phase-flip channels.
-    pub fn apply_noise(&mut self, op: &Operation, noise: &NoiseModel) {
+    pub(crate) fn apply_noise(&mut self, op: &Operation, noise: &NoiseModel) {
         if noise.is_noiseless() {
             return;
         }
@@ -110,7 +80,7 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics if the circuit size mismatches.
-    pub fn apply_circuit_noisy(&mut self, circuit: &Circuit, noise: &NoiseModel) {
+    pub(crate) fn apply_circuit_noisy(&mut self, circuit: &Circuit, noise: &NoiseModel) {
         assert_eq!(
             circuit.num_qubits(),
             self.num_qubits,
@@ -123,32 +93,32 @@ impl DensityMatrix {
     }
 
     /// Measurement probabilities (the diagonal of `ρ`).
-    pub fn probabilities(&self) -> Vec<f64> {
+    pub(crate) fn probabilities(&self) -> Vec<f64> {
         (0..self.rho.rows()).map(|i| self.rho[(i, i)].re).collect()
     }
 
     /// Trace of `ρ` (should remain 1).
-    pub fn trace(&self) -> Complex {
+    pub(crate) fn trace(&self) -> Complex {
         self.rho.trace()
     }
 
     /// Purity `Tr(ρ²)`: 1 for pure states, `1/2^n` for the maximally
     /// mixed state.
-    pub fn purity(&self) -> f64 {
+    pub(crate) fn purity(&self) -> f64 {
         self.rho.matmul(&self.rho).trace().re
     }
 }
 
 /// Exact noisy output distribution via density-matrix evolution.
 ///
-/// The closed-form counterpart of [`crate::sample_noisy_distribution`];
-/// use it to validate trajectory counts or when exactness matters more
-/// than register size.
+/// The closed-form counterpart of
+/// [`crate::try_sample_noisy_distribution`]; the sampler tests use it
+/// as their exact reference.
 ///
 /// # Panics
 ///
 /// Panics if the circuit has more than 8 qubits.
-pub fn exact_noisy_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f64> {
+pub(crate) fn exact_noisy_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f64> {
     let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
     rho.apply_circuit_noisy(circuit, noise);
     rho.probabilities()
@@ -157,7 +127,15 @@ pub fn exact_noisy_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ideal_distribution, sample_noisy_distribution, total_variation_distance};
+    use crate::{
+        ideal_distribution, total_variation_distance, try_sample_noisy_distribution, SimFaults,
+    };
+    use geyser_telemetry::Telemetry;
+
+    fn sample(circuit: &Circuit, noise: &NoiseModel, trajectories: usize) -> Vec<f64> {
+        let (faults, off) = (SimFaults::none(), Telemetry::disabled());
+        try_sample_noisy_distribution(circuit, noise, trajectories, 1, &faults, &off).unwrap()
+    }
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -228,8 +206,8 @@ mod tests {
         c.h(0).cx(0, 1).t(1).cz(1, 2).h(2).cx(2, 0);
         let noise = NoiseModel::symmetric(0.02);
         let exact = exact_noisy_distribution(&c, &noise);
-        let coarse = sample_noisy_distribution(&c, &noise, 100, 1);
-        let fine = sample_noisy_distribution(&c, &noise, 4000, 1);
+        let coarse = sample(&c, &noise, 100);
+        let fine = sample(&c, &noise, 4000);
         let err_coarse = total_variation_distance(&exact, &coarse);
         let err_fine = total_variation_distance(&exact, &fine);
         assert!(

@@ -11,7 +11,7 @@
 //!   to ~20 qubits (the largest paper benchmark is 16).
 //! * [`circuit_unitary`] — full `2^n × 2^n` unitary construction,
 //!   practical up to ~12 qubits; block composition only uses `n = 3`.
-//! * [`NoiseModel`] + [`sample_noisy_distribution`] — Monte-Carlo
+//! * [`NoiseModel`] + [`try_sample_noisy_distribution`] — Monte-Carlo
 //!   trajectory simulation of the paper's stochastic Pauli channel.
 //! * [`total_variation_distance`] — the output-fidelity metric.
 //!
@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channels;
+#[cfg(test)]
 mod density;
 mod error;
 mod loss;
@@ -44,16 +44,13 @@ mod statevector;
 mod tvd;
 mod unitary;
 
-pub use channels::KrausChannel;
-pub use density::{exact_noisy_distribution, DensityMatrix};
 pub use error::SimError;
 pub use loss::{sample_with_atom_loss, AtomLossModel};
 pub use noise::{NoiseGranularity, NoiseModel};
 pub use observable::{Observable, Pauli, PauliString};
 pub use sampler::{
-    ideal_distribution, sample_noisy_distribution, sampled_counts, try_ideal_distribution,
-    try_sample_noisy_distribution, try_sample_noisy_distribution_traced,
-    try_sample_noisy_distribution_with_faults, SimFaults, MAX_TRAJECTORY_RETRIES,
+    ideal_distribution, try_ideal_distribution, try_sample_noisy_distribution, SimFaults,
+    MAX_TRAJECTORY_RETRIES,
 };
 pub use statevector::{StateVector, NORM_DRIFT_TOL};
 pub use tvd::total_variation_distance;

@@ -55,7 +55,7 @@ impl AtomLossModel {
 /// point is reached the qubit is projectively measured and reset to
 /// `|0⟩` (the photodetector sees an empty site; the state decoheres),
 /// and later operations engaging it are skipped. Gate noise applies
-/// exactly as in [`crate::sample_noisy_distribution`].
+/// exactly as in [`crate::try_sample_noisy_distribution`].
 ///
 /// # Panics
 ///
@@ -166,7 +166,7 @@ fn collapse_and_reset(sv: &mut StateVector, q: usize, rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::total_variation_distance;
+    use crate::{total_variation_distance, SimFaults};
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -179,7 +179,9 @@ mod tests {
         let c = bell();
         let noise = NoiseModel::symmetric(0.01);
         let a = sample_with_atom_loss(&c, &noise, &AtomLossModel::none(), 200, 3);
-        let b = crate::sample_noisy_distribution(&c, &noise, 200, 3);
+        let off = geyser_telemetry::Telemetry::disabled();
+        let b = crate::try_sample_noisy_distribution(&c, &noise, 200, 3, &SimFaults::none(), &off)
+            .unwrap();
         // Same RNG consumption pattern is not guaranteed; compare
         // statistically.
         assert!(total_variation_distance(&a, &b) < 0.05);

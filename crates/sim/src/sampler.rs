@@ -15,7 +15,7 @@ use geyser_circuit::Circuit;
 use geyser_num::{CMatrix, Complex};
 use geyser_telemetry::Telemetry;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{NoiseModel, SimError, StateVector, NORM_DRIFT_TOL};
 
@@ -85,51 +85,6 @@ pub fn try_ideal_distribution(circuit: &Circuit) -> Result<Vec<f64>, SimError> {
     Ok(sv.probabilities())
 }
 
-/// Monte-Carlo estimate of the noisy output distribution.
-///
-/// Runs `trajectories` independent noise realizations. In each
-/// trajectory every operation is applied exactly, followed by the
-/// Pauli errors sampled from `noise`; the trajectory's *exact*
-/// measurement distribution is then accumulated. Averaging exact
-/// per-trajectory distributions (rather than drawing one shot per
-/// trajectory) is a standard variance-reduction: the estimator remains
-/// unbiased for the channel's output distribution while converging
-/// with far fewer trajectories.
-///
-/// Deterministic for a fixed `(circuit, noise, trajectories, seed)`.
-///
-/// # Panics
-///
-/// Panics if `trajectories == 0` or simulation is numerically
-/// unhealthy (see [`try_sample_noisy_distribution`] for the fallible
-/// form).
-pub fn sample_noisy_distribution(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Vec<f64> {
-    try_sample_noisy_distribution(circuit, noise, trajectories, seed)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`sample_noisy_distribution`] with trajectory
-/// health checks and rejection-and-resample (no fault hooks).
-pub fn try_sample_noisy_distribution(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Result<Vec<f64>, SimError> {
-    try_sample_noisy_distribution_with_faults(
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        &SimFaults::none(),
-    )
-}
-
 /// Runs one noise trajectory from `|0…0⟩`, consuming `rng` for the
 /// Pauli error draws.
 fn run_trajectory(
@@ -155,45 +110,37 @@ fn run_trajectory(
     sv
 }
 
-/// [`try_sample_noisy_distribution`] with test/bench-only fault
-/// injection.
+/// Monte-Carlo estimate of the noisy output distribution.
+///
+/// Runs `trajectories` independent noise realizations. In each
+/// trajectory every operation is applied exactly, followed by the
+/// Pauli errors sampled from `noise`; the trajectory's *exact*
+/// measurement distribution is then accumulated. Averaging exact
+/// per-trajectory distributions (rather than drawing one shot per
+/// trajectory) is a standard variance-reduction: the estimator remains
+/// unbiased for the channel's output distribution while converging
+/// with far fewer trajectories.
+///
+/// Deterministic for a fixed `(circuit, noise, trajectories, seed)`.
 ///
 /// Each trajectory is health-checked (finite amplitudes, norm within
 /// [`NORM_DRIFT_TOL`]); an unhealthy one is resampled from a seed
 /// derived from `(seed, trajectory, attempt)` up to
-/// [`MAX_TRAJECTORY_RETRIES`] times. Attempt 0 consumes the primary
-/// RNG stream exactly as the historical sampler did, so fault-free
-/// runs are bit-identical with or without the guard machinery.
+/// [`MAX_TRAJECTORY_RETRIES`] times, after which the typed
+/// [`SimError::TrajectoryRejected`] is returned. Attempt 0 consumes
+/// the primary RNG stream exactly as an unguarded sampler would, so
+/// fault-free runs are bit-identical with or without the guard
+/// machinery. `faults` is test/bench-only injection
+/// ([`SimFaults::none`] in production).
 ///
-/// # Panics
-///
-/// Panics if `trajectories == 0`.
-pub fn try_sample_noisy_distribution_with_faults(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    faults: &SimFaults,
-) -> Result<Vec<f64>, SimError> {
-    try_sample_noisy_distribution_traced(
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        faults,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`try_sample_noisy_distribution_with_faults`] recording a
-/// `sim.sample` span plus `sim.trajectories` / `sim.resamples`
-/// counters on `telemetry`. Results are bit-identical with telemetry
+/// `telemetry` records a `sim.sample` span plus `sim.trajectories` /
+/// `sim.resamples` counters. Results are bit-identical with telemetry
 /// enabled or disabled — the handle is observational only.
 ///
 /// # Panics
 ///
 /// Panics if `trajectories == 0`.
-pub fn try_sample_noisy_distribution_traced(
+pub fn try_sample_noisy_distribution(
     circuit: &Circuit,
     noise: &NoiseModel,
     trajectories: usize,
@@ -247,37 +194,25 @@ pub fn try_sample_noisy_distribution_traced(
     Ok(accum)
 }
 
-/// Draws `shots` basis-state samples from a probability distribution,
-/// returning per-state counts. Used to emulate finite-shot readout.
-///
-/// # Panics
-///
-/// Panics if the distribution is empty or sums to ≤ 0.
-pub fn sampled_counts(distribution: &[f64], shots: usize, seed: u64) -> Vec<u64> {
-    assert!(!distribution.is_empty(), "empty distribution");
-    let total: f64 = distribution.iter().sum();
-    assert!(total > 0.0, "distribution must have positive mass");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0u64; distribution.len()];
-    for _ in 0..shots {
-        let mut r = rng.gen::<f64>() * total;
-        let mut idx = distribution.len() - 1;
-        for (i, &p) in distribution.iter().enumerate() {
-            if r < p {
-                idx = i;
-                break;
-            }
-            r -= p;
-        }
-        counts[idx] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::total_variation_distance;
+
+    fn sample_with(
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        trajectories: usize,
+        seed: u64,
+        faults: &SimFaults,
+    ) -> Result<Vec<f64>, SimError> {
+        let off = Telemetry::disabled();
+        try_sample_noisy_distribution(circuit, noise, trajectories, seed, faults, &off)
+    }
+
+    fn sample(circuit: &Circuit, noise: &NoiseModel, trajectories: usize, seed: u64) -> Vec<f64> {
+        sample_with(circuit, noise, trajectories, seed, &SimFaults::none()).unwrap()
+    }
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -295,7 +230,7 @@ mod tests {
     fn noiseless_sampling_equals_ideal() {
         let c = bell();
         let p1 = ideal_distribution(&c);
-        let p2 = sample_noisy_distribution(&c, &NoiseModel::noiseless(), 10, 1);
+        let p2 = sample(&c, &NoiseModel::noiseless(), 10, 1);
         assert!(total_variation_distance(&p1, &p2) < 1e-14);
     }
 
@@ -303,8 +238,8 @@ mod tests {
     fn noise_increases_tvd_to_ideal() {
         let c = bell();
         let ideal = ideal_distribution(&c);
-        let low = sample_noisy_distribution(&c, &NoiseModel::symmetric(0.001), 400, 2);
-        let high = sample_noisy_distribution(&c, &NoiseModel::symmetric(0.05), 400, 2);
+        let low = sample(&c, &NoiseModel::symmetric(0.001), 400, 2);
+        let high = sample(&c, &NoiseModel::symmetric(0.05), 400, 2);
         let tvd_low = total_variation_distance(&ideal, &low);
         let tvd_high = total_variation_distance(&ideal, &high);
         assert!(tvd_low < tvd_high, "tvd {tvd_low} !< {tvd_high}");
@@ -314,7 +249,7 @@ mod tests {
     #[test]
     fn noisy_distribution_is_normalized() {
         let c = bell();
-        let p = sample_noisy_distribution(&c, &NoiseModel::symmetric(0.02), 50, 3);
+        let p = sample(&c, &NoiseModel::symmetric(0.02), 50, 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
@@ -322,10 +257,10 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let c = bell();
         let nm = NoiseModel::symmetric(0.01);
-        let a = sample_noisy_distribution(&c, &nm, 20, 7);
-        let b = sample_noisy_distribution(&c, &nm, 20, 7);
+        let a = sample(&c, &nm, 20, 7);
+        let b = sample(&c, &nm, 20, 7);
         assert_eq!(a, b);
-        let d = sample_noisy_distribution(&c, &nm, 20, 8);
+        let d = sample(&c, &nm, 20, 8);
         assert_ne!(a, d);
     }
 
@@ -338,8 +273,8 @@ mod tests {
         wasteful.x(0).x(0).x(0).x(0).x(0);
         let nm = NoiseModel::symmetric(0.02);
         let ideal = ideal_distribution(&lean);
-        let lean_p = sample_noisy_distribution(&lean, &nm, 600, 11);
-        let waste_p = sample_noisy_distribution(&wasteful, &nm, 600, 11);
+        let lean_p = sample(&lean, &nm, 600, 11);
+        let waste_p = sample(&wasteful, &nm, 600, 11);
         let tvd_lean = total_variation_distance(&ideal, &lean_p);
         let tvd_waste = total_variation_distance(&ideal, &waste_p);
         assert!(
@@ -349,20 +284,15 @@ mod tests {
     }
 
     #[test]
-    fn sampled_counts_sum_to_shots() {
-        let p = ideal_distribution(&bell());
-        let counts = sampled_counts(&p, 1000, 5);
-        assert_eq!(counts.iter().sum::<u64>(), 1000);
-        // Only |00> and |11> should ever be sampled.
-        assert_eq!(counts[1], 0);
-        assert_eq!(counts[2], 0);
-        assert!(counts[0] > 350 && counts[3] > 350);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one trajectory")]
     fn zero_trajectories_panics() {
-        let _ = sample_noisy_distribution(&bell(), &NoiseModel::symmetric(0.1), 0, 0);
+        let _ = sample_with(
+            &bell(),
+            &NoiseModel::symmetric(0.1),
+            0,
+            0,
+            &SimFaults::none(),
+        );
     }
 
     #[test]
@@ -373,25 +303,34 @@ mod tests {
             nan_trajectories: vec![3, 7],
             ..SimFaults::none()
         };
-        let p = try_sample_noisy_distribution_with_faults(&c, &nm, 20, 7, &faults)
-            .expect("transient faults must be resampled away");
+        let p =
+            sample_with(&c, &nm, 20, 7, &faults).expect("transient faults must be resampled away");
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|x| x.is_finite()));
         // The resampled estimate stays statistically sane.
-        let clean = sample_noisy_distribution(&c, &nm, 20, 7);
+        let clean = sample(&c, &nm, 20, 7);
         assert!(total_variation_distance(&p, &clean) < 0.1);
     }
 
     #[test]
     fn guards_do_not_perturb_fault_free_stream() {
         // With no faults injected, the guarded sampler is bit-identical
-        // to the unguarded one (attempt 0 consumes the primary stream).
+        // to an unguarded average over the primary stream (attempt 0
+        // consumes it exactly).
         let c = bell();
         let nm = NoiseModel::symmetric(0.02);
-        let a = sample_noisy_distribution(&c, &nm, 30, 9);
-        let b = try_sample_noisy_distribution_with_faults(&c, &nm, 30, 9, &SimFaults::none())
-            .expect("healthy");
-        assert_eq!(a, b);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut unguarded = vec![0.0f64; 4];
+        for _ in 0..30 {
+            let sv = run_trajectory(&c, &nm, &mut rng, false);
+            for (a, p) in unguarded.iter_mut().zip(sv.probabilities()) {
+                *a += p;
+            }
+        }
+        for a in &mut unguarded {
+            *a *= 1.0 / 30.0;
+        }
+        assert_eq!(sample(&c, &nm, 30, 9), unguarded);
     }
 
     #[test]
@@ -402,7 +341,7 @@ mod tests {
             persistent_nan_trajectories: vec![2],
             ..SimFaults::none()
         };
-        let err = try_sample_noisy_distribution_with_faults(&c, &nm, 10, 1, &faults)
+        let err = sample_with(&c, &nm, 10, 1, &faults)
             .expect_err("persistent corruption must not be averaged in");
         assert_eq!(
             err,

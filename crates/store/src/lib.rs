@@ -66,8 +66,9 @@ pub fn store_corrupt_kind_counter(label: &str) -> &'static str {
 /// checksum + newline.
 const HEADER_LEN: usize = RECORD_MAGIC.len() + 1 + 16 + 1 + 16 + 1;
 
-/// FNV-1a over raw bytes — the same scheme the cache and checkpoint
-/// fingerprints use, applied to file contents.
+/// FNV-1a over raw bytes — the workspace's one content hash: record
+/// checksums, cache keys, checkpoint fingerprints, reuse keys and the
+/// hardware-spec digest all use it.
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

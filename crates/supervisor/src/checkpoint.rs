@@ -24,9 +24,7 @@ use geyser::store::{
 };
 use geyser::{CancelToken, Telemetry};
 use geyser_circuit::Circuit;
-use geyser_compose::{
-    BlockObserver, BlockOutcome, CompositionConfig, CompositionResult, FallbackReason,
-};
+use geyser_compose::{BlockObserver, BlockOutcome, CompositionResult, FallbackReason};
 use serde::{Deserialize, Serialize};
 
 /// On-disk format version; bumped on incompatible layout changes.
@@ -129,7 +127,8 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// An empty checkpoint for a run over `num_blocks` blocks of a
     /// circuit with the given fingerprint, composition seed,
-    /// composition-config hash (see [`composition_config_hash`]), and
+    /// composition-config hash (see [`geyser_reuse::reuse_config_hash`]),
+    /// and
     /// hardware-spec digest (`HardwareSpec::digest`).
     pub fn new(
         fingerprint: u64,
@@ -177,7 +176,7 @@ impl Checkpoint {
     }
 
     /// Expands the recorded blocks into the `prior` slice shape that
-    /// `try_compose_blocked_circuit_supervised` resumes from.
+    /// `try_compose_blocked_circuit_reusing` resumes from.
     pub fn to_prior(&self) -> Vec<Option<CompositionResult>> {
         let mut prior = vec![None; self.num_blocks];
         for block in &self.blocks {
@@ -225,30 +224,7 @@ impl std::error::Error for CheckpointError {}
 /// FNV-1a fingerprint of a circuit's debug form — the same scheme the
 /// bench cache uses to bind artifacts to their exact input.
 pub fn checkpoint_fingerprint(circuit: &Circuit) -> u64 {
-    let text = format!("{circuit:?}");
-    fnv1a(&text)
-}
-
-/// FNV-1a hash of the composition parameters that shape per-block
-/// results: ε, the layer cap, and the annealing budget (iterations,
-/// restarts, retries). The seed is bound separately; threads and the
-/// wall-clock deadline are excluded because they change scheduling,
-/// never a completed block's content.
-pub fn composition_config_hash(cfg: &CompositionConfig) -> u64 {
-    let text = format!(
-        "eps={:?}|layers={}|iters={}|restarts={}|retries={}",
-        cfg.epsilon, cfg.max_layers, cfg.anneal_iters, cfg.restarts, cfg.retry_attempts
-    );
-    fnv1a(&text)
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(format!("{circuit:?}").as_bytes())
 }
 
 /// Writes the checkpoint crash-safely as a framed record (length
@@ -591,38 +567,6 @@ mod tests {
         let mut a2 = Circuit::new(3);
         a2.h(0);
         assert_eq!(checkpoint_fingerprint(&a), checkpoint_fingerprint(&a2));
-    }
-
-    #[test]
-    fn config_hash_tracks_search_parameters_only() {
-        let base = CompositionConfig::default();
-        let mut eps = base;
-        eps.epsilon = base.epsilon / 10.0;
-        assert_ne!(
-            composition_config_hash(&base),
-            composition_config_hash(&eps)
-        );
-        let mut layers = base;
-        layers.max_layers += 1;
-        assert_ne!(
-            composition_config_hash(&base),
-            composition_config_hash(&layers)
-        );
-        let mut iters = base;
-        iters.anneal_iters += 1;
-        assert_ne!(
-            composition_config_hash(&base),
-            composition_config_hash(&iters)
-        );
-        // Seed is bound separately; threads and deadline affect
-        // scheduling, not block content — none may change the hash.
-        let mut sched = base;
-        sched.seed = 99;
-        sched.threads = 7;
-        assert_eq!(
-            composition_config_hash(&base),
-            composition_config_hash(&sched)
-        );
     }
 
     #[test]

@@ -4,13 +4,17 @@
 //!
 //! Run with: `cargo run --release --example adder_walkthrough`
 
-use geyser_blocking::{block_circuit, BlockingConfig};
-use geyser_compose::{compose_blocked_circuit, CompositionConfig};
-use geyser_map::{map_circuit, optimize_to_fixpoint, MappingOptions};
+use geyser::Telemetry;
+use geyser_blocking::{try_block_circuit, BlockingConfig};
+use geyser_compose::{
+    try_compose_blocked_circuit_reusing, CancelToken, ComposeFaults, CompositionConfig,
+};
+use geyser_map::{optimize_to_fixpoint, try_map_circuit, MappingOptions};
 use geyser_topology::Lattice;
 use geyser_workloads::adder_with_inputs;
 
 fn main() {
+    let off = Telemetry::disabled();
     // 1-bit Cuccaro adder computing 1 + 1.
     let program = adder_with_inputs(4, 1, 1);
     println!("=== logical program (Cuccaro adder, 1 + 1) ===");
@@ -28,7 +32,8 @@ fn main() {
         lattice.rows(),
         lattice.cols()
     );
-    let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+    let mapped = try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off)
+        .expect("lattice hosts the program");
     println!(
         "mapped: {} native ops ({} U3, {} CZ), {} pulses, {} SWAPs inserted\n",
         mapped.circuit().len(),
@@ -40,7 +45,8 @@ fn main() {
 
     // --- Stage 2: blocking ------------------------------------------
     println!("=== stage 2: blocking (Algorithm 1) ===");
-    let blocked = block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default());
+    let blocked = try_block_circuit(mapped.circuit(), &lattice, &BlockingConfig::default(), &off)
+        .expect("circuit is over the lattice nodes");
     println!(
         "{} blocks in {} rounds (mean {:.1} ops/block)",
         blocked.num_blocks(),
@@ -59,7 +65,17 @@ fn main() {
 
     // --- Stage 3: composition ---------------------------------------
     println!("=== stage 3: composition (Algorithm 2) ===");
-    let composed = compose_blocked_circuit(&blocked, &CompositionConfig::default());
+    let composed = try_compose_blocked_circuit_reusing(
+        &blocked,
+        &CompositionConfig::default(),
+        &ComposeFaults::none(),
+        &CancelToken::none(),
+        &[],
+        None,
+        &off,
+        None,
+    )
+    .expect("composition succeeds");
     println!(
         "{} of {} eligible blocks composed; pulses {} -> {}",
         composed.stats.blocks_composed,

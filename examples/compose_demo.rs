@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example compose_demo`
 
 use geyser_circuit::Circuit;
-use geyser_compose::{compose_block, CompositionConfig};
+use geyser_compose::{try_compose_block, CompositionConfig};
 use geyser_num::hilbert_schmidt_distance;
 use geyser_sim::circuit_unitary;
 
@@ -60,7 +60,7 @@ fn main() {
         threads: 1,
         ..CompositionConfig::default()
     };
-    let result = compose_block(&block, &cfg);
+    let result = try_compose_block(&block, &cfg).expect("block is a 3-qubit circuit");
 
     if result.composed {
         println!(

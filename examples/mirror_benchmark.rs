@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example mirror_benchmark`
 
-use geyser::{compile, PipelineConfig, Technique};
+use geyser::{try_compile, PipelineConfig, Technique, Telemetry};
 use geyser_circuit::Circuit;
-use geyser_sim::{sample_noisy_distribution, NoiseModel};
+use geyser_sim::{try_sample_noisy_distribution, NoiseModel, SimFaults};
 use geyser_workloads::{ghz, w_state};
 
 /// Builds the mirror circuit `C · C⁻¹`.
@@ -19,7 +19,16 @@ fn mirror(program: &Circuit) -> Circuit {
 }
 
 fn survival(compiled: &geyser::CompiledCircuit, noise: &NoiseModel) -> f64 {
-    let node_dist = sample_noisy_distribution(compiled.mapped().circuit(), noise, 400, 17);
+    let off = Telemetry::disabled();
+    let node_dist = try_sample_noisy_distribution(
+        compiled.mapped().circuit(),
+        noise,
+        400,
+        17,
+        &SimFaults::none(),
+        &off,
+    )
+    .expect("trajectories stay healthy");
     let logical = compiled.mapped().logical_distribution(&node_dist);
     logical[0]
 }
@@ -35,7 +44,7 @@ fn main() {
     for (name, program) in [("ghz-5", ghz(5)), ("w-state-5", w_state(5))] {
         let echo = mirror(&program);
         for technique in [Technique::Baseline, Technique::OptiMap, Technique::Geyser] {
-            let compiled = compile(&echo, technique, &cfg);
+            let compiled = try_compile(&echo, technique, &cfg).expect("program compiles");
             let p0 = survival(&compiled, &noise);
             println!(
                 "{:<14} {:>10} {:>12} {:>11.4}",

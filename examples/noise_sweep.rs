@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example noise_sweep`
 
-use geyser::{compile, evaluate_tvd, PipelineConfig, Technique};
+use geyser::{try_compile, try_evaluate_tvd, PipelineConfig, Technique};
 use geyser_sim::NoiseModel;
 use geyser_workloads::qaoa;
 
@@ -18,7 +18,7 @@ fn main() {
     println!("compiling with all techniques (composition may take ~a minute)…");
     let compiled: Vec<_> = Technique::ALL
         .iter()
-        .map(|&t| (t, compile(&program, t, &cfg)))
+        .map(|&t| (t, try_compile(&program, t, &cfg).expect("program compiles")))
         .collect();
 
     print!("{:<16}", "noise");
@@ -30,7 +30,8 @@ fn main() {
         let noise = NoiseModel::symmetric(rate);
         print!("{:<16}", format!("{:.2}%", rate * 100.0));
         for (_, c) in &compiled {
-            let report = evaluate_tvd(c, &program, &noise, trajectories, 11);
+            let report = try_evaluate_tvd(c, &program, &noise, trajectories, 11)
+                .expect("registers match and trajectories > 0");
             print!(" {:>12.4}", report.tvd_to_ideal);
         }
         println!();

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use geyser::{compile, evaluate_tvd, PipelineConfig, Technique};
+use geyser::{try_compile, try_evaluate_tvd, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_sim::NoiseModel;
 
@@ -28,9 +28,10 @@ fn main() {
         "technique", "pulses", "depth", "u3", "cz", "ccz", "tvd"
     );
     for technique in Technique::ALL {
-        let compiled = compile(&program, technique, &cfg);
+        let compiled = try_compile(&program, technique, &cfg).expect("program compiles");
         let counts = compiled.gate_counts();
-        let report = evaluate_tvd(&compiled, &program, &noise, 300, 7);
+        let report = try_evaluate_tvd(&compiled, &program, &noise, 300, 7)
+            .expect("registers match and trajectories > 0");
         println!(
             "{:<16} {:>8} {:>8} {:>6} {:>6} {:>6} {:>9.4}",
             technique.label(),

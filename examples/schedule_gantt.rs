@@ -4,14 +4,17 @@
 //!
 //! Run with: `cargo run --release --example schedule_gantt`
 
-use geyser_map::{map_circuit, zone_aware_schedule, MappingOptions};
+use geyser::Telemetry;
+use geyser_map::{try_map_circuit, zone_aware_schedule, MappingOptions};
 use geyser_topology::Lattice;
 use geyser_workloads::qaoa;
 
 fn main() {
+    let off = Telemetry::disabled();
     let program = qaoa(5, 1, 3);
     let lattice = Lattice::triangular_for(5);
-    let mapped = map_circuit(&program, &lattice, &MappingOptions::optimized());
+    let mapped = try_map_circuit(&program, &lattice, &MappingOptions::optimized(), &off)
+        .expect("lattice hosts the program");
 
     println!(
         "qaoa-5 mapped onto a {}x{} triangular lattice: {} native ops\n",

@@ -1,4 +1,4 @@
-use geyser::{compile, PipelineConfig, Technique};
+use geyser::{try_compile, PipelineConfig, Technique};
 use geyser_workloads::suite;
 use std::time::Instant;
 
@@ -11,7 +11,7 @@ fn main() {
         let program = spec.build();
         for t in [Technique::Baseline, Technique::OptiMap, Technique::Geyser] {
             let t0 = Instant::now();
-            let c = compile(&program, t, &cfg);
+            let c = try_compile(&program, t, &cfg).expect("program compiles");
             println!(
                 "{:<14} {:<9} pulses={:<6} depth={:<6} u3={} cz={} ccz={} ({:.2?})",
                 spec.name,

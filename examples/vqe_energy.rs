@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example vqe_energy`
 
-use geyser::{compile, PipelineConfig, Technique};
+use geyser::{try_compile, PipelineConfig, Technique};
 use geyser_sim::{NoiseModel, Observable, StateVector};
 use geyser_workloads::heisenberg;
 
@@ -84,7 +84,7 @@ fn main() {
         "technique", "pulses", "noisy ⟨H⟩", "|error|"
     );
     for technique in [Technique::Baseline, Technique::OptiMap, Technique::Geyser] {
-        let compiled = compile(&program, technique, &cfg);
+        let compiled = try_compile(&program, technique, &cfg).expect("program compiles");
         let e = noisy_energy(&compiled, &ham, &noise, 150);
         println!(
             "{:<14} {:>8} {:>+12.4} {:>12.4}",

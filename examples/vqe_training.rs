@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example vqe_training`
 
-use geyser::{compile, PipelineConfig, Technique};
+use geyser::{try_compile, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_optimize::{nelder_mead, Bounds, NelderMeadConfig};
 use geyser_sim::{Observable, StateVector};
@@ -80,7 +80,8 @@ fn main() {
         "technique", "pulses", "depth", "ccz"
     );
     for technique in Technique::ALL {
-        let compiled = compile(&trained, technique, &PipelineConfig::fast());
+        let compiled =
+            try_compile(&trained, technique, &PipelineConfig::fast()).expect("program compiles");
         println!(
             "{:<16} {:>8} {:>8} {:>6}",
             technique.label(),

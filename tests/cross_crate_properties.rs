@@ -6,10 +6,10 @@
 //! available offline): each property runs over a fixed set of seeds,
 //! so failures are exactly reproducible by seed.
 
-use geyser::{compile, ideal_logical_distribution, PipelineConfig, Technique};
-use geyser_blocking::{block_circuit, BlockingConfig};
+use geyser::{ideal_logical_distribution, try_compile, PipelineConfig, Technique, Telemetry};
+use geyser_blocking::{try_block_circuit, BlockingConfig};
 use geyser_circuit::{Circuit, Gate, Operation};
-use geyser_map::{map_circuit, optimize_to_fixpoint, to_native_basis, MappingOptions};
+use geyser_map::{optimize_to_fixpoint, to_native_basis, try_map_circuit, MappingOptions};
 use geyser_num::hilbert_schmidt_distance;
 use geyser_sim::{circuit_unitary, ideal_distribution, total_variation_distance};
 use geyser_topology::Lattice;
@@ -70,11 +70,13 @@ fn optimization_passes_preserve_unitary() {
 
 #[test]
 fn blocking_covers_each_op_once() {
+    let off = Telemetry::disabled();
     for seed in 0..CASES {
         let c = random_circuit(6, 40, seed);
         let lat = Lattice::triangular_for(6);
-        let mapped = map_circuit(&c, &lat, &MappingOptions::optimized());
-        let blocked = block_circuit(mapped.circuit(), &lat, &BlockingConfig::default());
+        let mapped = try_map_circuit(&c, &lat, &MappingOptions::optimized(), &off).unwrap();
+        let blocked =
+            try_block_circuit(mapped.circuit(), &lat, &BlockingConfig::default(), &off).unwrap();
         let mut seen = vec![false; mapped.circuit().len()];
         for block in blocked.blocks() {
             for &i in block.op_indices() {
@@ -91,11 +93,13 @@ fn blocking_covers_each_op_once() {
 
 #[test]
 fn blocking_reassembly_preserves_unitary() {
+    let off = Telemetry::disabled();
     for seed in 0..CASES {
         let c = random_circuit(5, 25, seed);
         let lat = Lattice::triangular_for(5);
-        let mapped = map_circuit(&c, &lat, &MappingOptions::optimized());
-        let blocked = block_circuit(mapped.circuit(), &lat, &BlockingConfig::default());
+        let mapped = try_map_circuit(&c, &lat, &MappingOptions::optimized(), &off).unwrap();
+        let blocked =
+            try_block_circuit(mapped.circuit(), &lat, &BlockingConfig::default(), &off).unwrap();
         let d = hilbert_schmidt_distance(
             &circuit_unitary(mapped.circuit()),
             &circuit_unitary(&blocked.reassemble()),
@@ -116,7 +120,7 @@ fn exact_pipeline_preserves_distributions() {
             Technique::OptiMap,
             Technique::Superconducting,
         ] {
-            let compiled = compile(&c, t, &PipelineConfig::fast());
+            let compiled = try_compile(&c, t, &PipelineConfig::fast()).unwrap();
             let tvd = total_variation_distance(
                 &ideal_distribution(&c),
                 &ideal_logical_distribution(&compiled),
@@ -128,10 +132,11 @@ fn exact_pipeline_preserves_distributions() {
 
 #[test]
 fn mapped_two_qubit_gates_are_always_adjacent() {
+    let off = Telemetry::disabled();
     for seed in 0..CASES {
         let c = random_circuit(5, 25, seed);
         let lat = Lattice::triangular_for(5);
-        let mapped = map_circuit(&c, &lat, &MappingOptions::optimized());
+        let mapped = try_map_circuit(&c, &lat, &MappingOptions::optimized(), &off).unwrap();
         for op in mapped.circuit().iter() {
             if op.arity() == 2 {
                 assert!(

@@ -3,7 +3,7 @@
 //! whole-pipeline semantic check that exercises `Circuit::inverted`
 //! and every gate's `inverse()` simultaneously.
 
-use geyser::{compile, ideal_logical_distribution, PipelineConfig, Technique};
+use geyser::{ideal_logical_distribution, try_compile, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_sim::ideal_distribution;
 use geyser_workloads::{advantage, ghz, qaoa, qft, vqe, w_state};
@@ -45,7 +45,7 @@ fn compiled_echo_preserves_survival() {
         (Technique::Superconducting, 1e-9),
         (Technique::Geyser, 1e-2),
     ] {
-        let compiled = compile(&echo, technique, &PipelineConfig::fast());
+        let compiled = try_compile(&echo, technique, &PipelineConfig::fast()).unwrap();
         let dist = ideal_logical_distribution(&compiled);
         assert!(
             (dist[0] - 1.0).abs() < tol,

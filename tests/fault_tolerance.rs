@@ -7,8 +7,9 @@ use std::time::Duration;
 
 use geyser::passes::{AllocateLatticePass, BlockPass, ComposePass, MapPass, SeamCleanupPass};
 use geyser::{
-    evaluate_tvd, try_evaluate_tvd_with_faults, CancelToken, CompileContext, CompileError,
-    ErrorClass, FaultInjector, Pass, PassManager, PipelineConfig, Technique,
+    try_compile, try_evaluate_tvd, try_evaluate_tvd_traced, CancelToken, CompileContext,
+    CompileError, ErrorClass, FaultInjector, Pass, PassManager, PipelineConfig, Technique,
+    Telemetry,
 };
 use geyser_sim::{NoiseModel, SimError, SimFaults, MAX_TRAJECTORY_RETRIES};
 use geyser_workloads::{ghz, qaoa};
@@ -56,7 +57,7 @@ fn forced_compose_timeout_degrades_every_block() {
     // The degraded circuit is still runnable and equivalent: with
     // every block keeping its original pulses the compilation floor
     // is numerically zero.
-    let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+    let tvd = try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0).unwrap();
     assert!(
         tvd.compilation_tvd < 1e-9,
         "floor = {}",
@@ -80,7 +81,7 @@ fn corrupted_blocks_never_reach_the_output() {
         .expect("corruption must degrade, not fail");
     let stats = compiled.composition_stats().expect("stats recorded");
     assert_eq!(stats.blocks_composed, 0, "no corrupted candidate accepted");
-    let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+    let tvd = try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0).unwrap();
     assert!(
         tvd.compilation_tvd < 1e-9,
         "floor = {}",
@@ -107,21 +108,22 @@ fn panicking_workers_are_isolated_per_block() {
     assert!(stats.blocks_failed > 0);
     let report = compiled.report().expect("report attached");
     assert_eq!(report.blocks_failed, stats.blocks_failed as u64);
-    let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+    let tvd = try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0).unwrap();
     assert!(tvd.compilation_tvd < 1e-9);
 }
 
 #[test]
 fn transient_sim_fault_recovers_persistent_fault_errors() {
     let program = ghz(3);
-    let compiled = geyser::compile(&program, Technique::OptiMap, &fast());
+    let compiled = try_compile(&program, Technique::OptiMap, &fast()).unwrap();
+    let off = Telemetry::disabled();
     let noise = NoiseModel::symmetric(0.005);
 
     let transient = SimFaults {
         nan_trajectories: vec![0, 5],
         ..SimFaults::none()
     };
-    let report = try_evaluate_tvd_with_faults(&compiled, &program, &noise, 30, 1, &transient)
+    let report = try_evaluate_tvd_traced(&compiled, &program, &noise, 30, 1, &transient, &off)
         .expect("transient NaN trajectories must be resampled");
     assert!(report.tvd_to_ideal.is_finite());
 
@@ -129,7 +131,7 @@ fn transient_sim_fault_recovers_persistent_fault_errors() {
         persistent_nan_trajectories: vec![4],
         ..SimFaults::none()
     };
-    let err = try_evaluate_tvd_with_faults(&compiled, &program, &noise, 30, 1, &persistent)
+    let err = try_evaluate_tvd_traced(&compiled, &program, &noise, 30, 1, &persistent, &off)
         .expect_err("persistent corruption must surface");
     assert_eq!(
         err,
@@ -189,7 +191,7 @@ fn mid_pipeline_budget_expiry_degrades_to_mapped_circuit() {
     );
     // The degraded result is the mapped circuit: runnable, equivalent.
     assert!(compiled.total_pulses() > 0);
-    let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+    let tvd = try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0).unwrap();
     assert!(tvd.compilation_tvd < 1e-9);
 }
 
@@ -350,7 +352,8 @@ fn every_fault_spec_ends_gracefully_or_typed() {
             (true, Err(CompileError::PassPanicked { .. })) => {}
             (false, Ok(compiled)) => {
                 // Graceful paths must still produce an equivalent circuit.
-                let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
+                let tvd =
+                    try_evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0).unwrap();
                 assert!(tvd.compilation_tvd < 1e-2, "spec '{spec}' diverged");
             }
             (expected_panic, other) => {

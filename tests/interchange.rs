@@ -1,7 +1,7 @@
 //! Interchange tests: QASM round-trips for every workload generator,
 //! and parsed circuits flowing through the compilation pipeline.
 
-use geyser::{compile, PipelineConfig, Technique};
+use geyser::{try_compile, PipelineConfig, Technique};
 use geyser_circuit::{from_qasm, to_qasm};
 use geyser_sim::{ideal_distribution, total_variation_distance};
 use geyser_workloads::{
@@ -51,8 +51,8 @@ fn parsed_circuit_compiles_identically() {
     let original = qft(5);
     let parsed = from_qasm(&to_qasm(&original)).expect("parses");
     let cfg = PipelineConfig::fast();
-    let a = compile(&original, Technique::OptiMap, &cfg);
-    let b = compile(&parsed, Technique::OptiMap, &cfg);
+    let a = try_compile(&original, Technique::OptiMap, &cfg).unwrap();
+    let b = try_compile(&parsed, Technique::OptiMap, &cfg).unwrap();
     assert_eq!(a.total_pulses(), b.total_pulses());
     assert_eq!(a.gate_counts(), b.gate_counts());
 }

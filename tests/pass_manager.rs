@@ -5,27 +5,38 @@
 
 use geyser::passes::{AllocateLatticePass, BlockPass, ComposePass, MapPass, SeamCleanupPass};
 use geyser::{
-    compile, try_compile, CompileContext, CompileError, CompileReport, Pass, PassManager,
-    PipelineConfig, Technique,
+    try_compile, CompileContext, CompileError, CompileReport, Pass, PassManager, PipelineConfig,
+    Technique, Telemetry,
 };
-use geyser_blocking::block_circuit;
+use geyser_blocking::try_block_circuit;
 use geyser_circuit::Circuit;
-use geyser_compose::compose_blocked_circuit;
-use geyser_map::{map_circuit, optimize_to_fixpoint, MappingOptions};
+use geyser_compose::{try_compose_blocked_circuit_reusing, CancelToken, ComposeFaults};
+use geyser_map::{optimize_to_fixpoint, try_map_circuit, MappingOptions};
 use geyser_topology::Lattice;
 use geyser_workloads::{ghz, qaoa};
 
 /// The Geyser pipeline spelled out as direct stage calls — the shape
-/// `compile()` had before the pass manager. The pass list must stay
-/// bit-identical to this.
+/// the Geyser compile had before the pass manager. The pass list must
+/// stay bit-identical to this.
 fn legacy_geyser(
     program: &Circuit,
     config: &PipelineConfig,
 ) -> (u64, geyser_compose::CompositionStats) {
+    let off = Telemetry::disabled();
     let lattice = Lattice::triangular_for(program.num_qubits());
-    let mapped = map_circuit(program, &lattice, &MappingOptions::optimized());
-    let blocked = block_circuit(mapped.circuit(), &lattice, &config.blocking);
-    let composed = compose_blocked_circuit(&blocked, &config.composition);
+    let mapped = try_map_circuit(program, &lattice, &MappingOptions::optimized(), &off).unwrap();
+    let blocked = try_block_circuit(mapped.circuit(), &lattice, &config.blocking, &off).unwrap();
+    let composed = try_compose_blocked_circuit_reusing(
+        &blocked,
+        &config.composition,
+        &ComposeFaults::none(),
+        &CancelToken::none(),
+        &[],
+        None,
+        &off,
+        None,
+    )
+    .unwrap();
     let cleaned = optimize_to_fixpoint(&composed.circuit);
     let final_mapped = mapped.with_circuit(cleaned);
     (final_mapped.total_pulses(), composed.stats)
@@ -36,7 +47,7 @@ fn geyser_pass_list_matches_legacy_pipeline() {
     let cfg = PipelineConfig::fast();
     for program in [ghz(4), qaoa(4, 1, 1)] {
         let (legacy_pulses, legacy_stats) = legacy_geyser(&program, &cfg);
-        let compiled = compile(&program, Technique::Geyser, &cfg);
+        let compiled = try_compile(&program, Technique::Geyser, &cfg).unwrap();
         assert_eq!(compiled.total_pulses(), legacy_pulses);
         let stats = compiled.composition_stats().expect("geyser records stats");
         assert_eq!(stats, &legacy_stats);
@@ -45,6 +56,7 @@ fn geyser_pass_list_matches_legacy_pipeline() {
 
 #[test]
 fn mapping_pass_lists_match_legacy_pipeline() {
+    let off = Telemetry::disabled();
     let cfg = PipelineConfig::fast();
     let cases = [
         (Technique::Baseline, MappingOptions::baseline(), false),
@@ -62,8 +74,8 @@ fn mapping_pass_lists_match_legacy_pipeline() {
             } else {
                 Lattice::triangular_for(program.num_qubits())
             };
-            let legacy = map_circuit(&program, &lattice, &options);
-            let compiled = compile(&program, technique, &cfg);
+            let legacy = try_map_circuit(&program, &lattice, &options, &off).unwrap();
+            let compiled = try_compile(&program, technique, &cfg).unwrap();
             assert_eq!(
                 compiled.total_pulses(),
                 legacy.total_pulses(),
@@ -79,7 +91,7 @@ fn mapping_pass_lists_match_legacy_pipeline() {
 fn explicit_pass_manager_matches_compile() {
     let program = ghz(4);
     let cfg = PipelineConfig::fast();
-    let via_compile = compile(&program, Technique::Geyser, &cfg);
+    let via_compile = try_compile(&program, Technique::Geyser, &cfg).unwrap();
     let via_manager = PassManager::for_technique(Technique::Geyser)
         .run(&program, &cfg)
         .expect("pipeline succeeds");
@@ -93,7 +105,7 @@ fn explicit_pass_manager_matches_compile() {
 #[test]
 fn report_has_one_entry_per_pass_with_nonzero_timings() {
     let program = ghz(4);
-    let compiled = compile(&program, Technique::Geyser, &PipelineConfig::fast());
+    let compiled = try_compile(&program, Technique::Geyser, &PipelineConfig::fast()).unwrap();
     let report = compiled.report().expect("compile attaches a report");
     let names: Vec<&str> = report.passes.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(
@@ -117,7 +129,7 @@ fn report_has_one_entry_per_pass_with_nonzero_timings() {
 #[test]
 fn report_serializes_to_json_and_back() {
     let program = ghz(3);
-    let compiled = compile(&program, Technique::OptiMap, &PipelineConfig::fast());
+    let compiled = try_compile(&program, Technique::OptiMap, &PipelineConfig::fast()).unwrap();
     let report = compiled.report().expect("report present");
     let json = report.to_json();
     assert!(json.contains("\"name\": \"map\""));

@@ -3,13 +3,13 @@
 //! Baseline/OptiMap/Superconducting, within the composition HSD budget
 //! for Geyser).
 
-use geyser::{compile, ideal_logical_distribution, PipelineConfig, Technique};
+use geyser::{ideal_logical_distribution, try_compile, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_sim::{ideal_distribution, total_variation_distance};
 use geyser_workloads::{adder_with_inputs, multiplier_with_inputs, qaoa, qft_with_input, vqe};
 
 fn assert_equivalent(program: &Circuit, technique: Technique, tol: f64) {
-    let compiled = compile(program, technique, &PipelineConfig::fast());
+    let compiled = try_compile(program, technique, &PipelineConfig::fast()).unwrap();
     let want = ideal_distribution(program);
     let got = ideal_logical_distribution(&compiled);
     let tvd = total_variation_distance(&want, &got);
@@ -83,8 +83,8 @@ fn explicit_paper_spec_is_bit_identical_to_the_default_pipeline() {
         Technique::Geyser,
         Technique::Superconducting,
     ] {
-        let a = compile(&program, t, &implicit);
-        let b = compile(&program, t, &explicit);
+        let a = try_compile(&program, t, &implicit).unwrap();
+        let b = try_compile(&program, t, &explicit).unwrap();
         assert_eq!(
             a.mapped().circuit().ops(),
             b.mapped().circuit().ops(),
@@ -107,7 +107,7 @@ fn non_default_specs_still_compile_equivalent_circuits() {
     ] {
         let cfg = PipelineConfig::fast().with_hardware(spec.clone());
         for t in [Technique::Baseline, Technique::OptiMap] {
-            let compiled = compile(&program, t, &cfg);
+            let compiled = try_compile(&program, t, &cfg).unwrap();
             let want = ideal_distribution(&program);
             let got = ideal_logical_distribution(&compiled);
             let tvd = total_variation_distance(&want, &got);
@@ -125,7 +125,7 @@ fn adder_still_adds_after_geyser_compilation() {
     // Functional check: the most probable output of the compiled
     // noiseless circuit is the correct sum.
     let program = adder_with_inputs(4, 1, 1); // 1 + 1 = 10₂
-    let compiled = compile(&program, Technique::Geyser, &PipelineConfig::fast());
+    let compiled = try_compile(&program, Technique::Geyser, &PipelineConfig::fast()).unwrap();
     let dist = ideal_logical_distribution(&compiled);
     let best = dist
         .iter()

@@ -3,7 +3,7 @@
 //! boundaries, and the determinism contract (telemetry observes the
 //! pipeline, never steers it).
 
-use geyser::{compile, FaultInjector, PassManager, PipelineConfig, Technique, Telemetry};
+use geyser::{try_compile, FaultInjector, PassManager, PipelineConfig, Technique, Telemetry};
 use geyser_circuit::Circuit;
 use geyser_telemetry::{histogram_bucket_index, histogram_bucket_lo, validate_chrome_trace};
 
@@ -144,7 +144,7 @@ fn compiled_output_is_bit_identical_with_telemetry_on_or_off() {
             .with_telemetry(telemetry.clone())
             .run(&program, &cfg)
             .expect("compiles traced");
-        let plain = compile(&program, technique, &cfg);
+        let plain = try_compile(&program, technique, &cfg).unwrap();
         assert_eq!(
             traced.mapped().circuit(),
             plain.mapped().circuit(),
@@ -189,7 +189,7 @@ fn compose_phase_counters_are_deterministic_per_seed() {
         first_counts[0] > 0 && first_counts[1] > 0,
         "annealing and refinement ran: {first_counts:?}"
     );
-    let plain = compile(&program, Technique::Geyser, &cfg);
+    let plain = try_compile(&program, Technique::Geyser, &cfg).unwrap();
     for traced in [&first, &second] {
         assert_eq!(traced.mapped().circuit(), plain.mapped().circuit());
         assert_eq!(traced.total_pulses(), plain.total_pulses());
