@@ -71,18 +71,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use geyser::store::{is_corrupt_sidecar, read_record_file, write_record_atomic};
+use geyser::store::{
+    is_corrupt_sidecar, is_tmp, Load, Namespace, OnCorrupt, Schema, LOCK_STALE_MS,
+};
 use geyser::{verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
 use geyser_bench::serve::{run_serve, ServeScorecard};
-use geyser_bench::{
-    exit_codes, report_json, scan_generation, Cli, SharedCache, CACHE_LOCK_STALE_MS,
-};
+use geyser_bench::{exit_codes, report_json, scan_generation, Cli, SharedCache};
 use geyser_circuit::Circuit;
 use geyser_compose::Ansatz;
-use geyser_reuse::{is_reuse_entry, parse_reuse_record, ReuseStats};
+use geyser_reuse::{ReuseOutcome, ReuseRecord, ReuseStats};
 use geyser_supervisor::{
-    load_checkpoint, load_journal_events, run_supervised_compile, CheckpointError, JobSpec,
-    JobState, RetryPolicy, SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
+    load_journal_events, run_supervised_compile, Checkpoint, JobSpec, JobState, RetryPolicy,
+    SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
 };
 use geyser_verify::{
     check_cache_generation, check_campaign_jobs, check_recovery, check_reuse, check_store_scan,
@@ -339,19 +339,19 @@ fn scan_store(dir: &Path) -> Vec<StoreFileObservation> {
                 .unwrap_or_default();
             let status = if is_corrupt_sidecar(&path) {
                 StoreFileStatus::Quarantined
-            } else if name.ends_with(".tmp") {
+            } else if is_tmp(&path) {
                 StoreFileStatus::StaleTmp
             } else {
                 // The campaign workdir only ever holds checkpoint
-                // records, so "parses" means "is a loadable
-                // checkpoint" (frame verified, JSON parsed, version
-                // current).
-                match load_checkpoint(&path) {
-                    Ok(_) => StoreFileStatus::Parsed,
-                    Err(CheckpointError::Corrupt { .. }) => StoreFileStatus::CorruptInPlace,
+                // records, so "parses" means "loads through the
+                // checkpoint namespace" (frame verified, schema parsed;
+                // another version would be stale, not corrupt).
+                match Checkpoint::load(&path, OnCorrupt::Keep, |_| true) {
+                    Load::Hit(_) | Load::Stale => StoreFileStatus::Parsed,
+                    Load::Corrupt(_) => StoreFileStatus::CorruptInPlace,
                     // The file vanished between listing and reading;
                     // nothing survives to classify.
-                    Err(CheckpointError::Io(_)) => StoreFileStatus::StaleTmp,
+                    Load::Absent => StoreFileStatus::StaleTmp,
                 }
             };
             StoreFileObservation { path: name, status }
@@ -612,20 +612,21 @@ fn run_restart_campaign(cli: &Cli, index: usize, master_seed: u64) -> RestartCar
 
 /// Runs the shared-cache crash-coherence leg: commit one generation,
 /// kill the next compaction mid-commit, audit the wreckage in place,
-/// then let a fresh process sweep, take over the stale lock, and
-/// commit — auditing again. Both scans must be coherent: the crash
-/// window exposes the *old* generation, never a mix.
+/// then let a fresh process take over the stale lock and commit —
+/// auditing again. Both scans must be coherent: the crash window
+/// exposes the *old* generation, never a mix. (The staged header temp
+/// stays until a compaction finds it [`LOCK_STALE_MS`] old by mtime.)
 fn run_cache_leg(cli: &Cli) -> CacheLegCard {
     let root = PathBuf::from(CHAOS_ROOT).join("cache");
     let _ = std::fs::remove_dir_all(&root);
 
     let mut store = SharedCache::open(&root, &cli.telemetry).expect("shared cache opens");
     store
-        .compact(1_000, &cli.telemetry)
+        .compact(1_000, &cli.telemetry, true)
         .expect("healthy compaction commits");
     let crash_ms = 2_000;
     store
-        .compact_crashing(crash_ms, &cli.telemetry)
+        .compact(crash_ms, &cli.telemetry, false)
         .expect("crashed compaction stages without committing");
 
     // Mid-crash: the staged generation and the dead compactor's lock
@@ -634,12 +635,12 @@ fn run_cache_leg(cli: &Cli) -> CacheLegCard {
     let mid_crash = scan_generation(&root, crash_ms + 1);
     let mut violations = check_cache_generation(&mid_crash);
 
-    // Takeover: a later process sweeps the staging debris, declares
-    // the lock stale, and commits a coherent new generation.
+    // Takeover: a later process declares the lock stale and commits a
+    // coherent new generation.
     let mut takeover = SharedCache::open(&root, &cli.telemetry).expect("shared cache reopens");
-    let after_ms = crash_ms + CACHE_LOCK_STALE_MS + 1;
+    let after_ms = crash_ms + LOCK_STALE_MS + 1;
     takeover
-        .compact(after_ms, &cli.telemetry)
+        .compact(after_ms, &cli.telemetry, true)
         .expect("takeover compaction commits");
     let recovered = scan_generation(&root, after_ms + 1);
     violations.extend(check_cache_generation(&recovered));
@@ -658,34 +659,26 @@ fn run_cache_leg(cli: &Cli) -> CacheLegCard {
 /// still verify, so only the ε re-verification gate stands between
 /// the garbage and the output. Returns how many entries were doctored.
 fn doctor_reuse_store(dir: &Path) -> u64 {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| is_reuse_entry(p))
-            .collect(),
-        Err(_) => return 0,
-    };
-    paths.sort();
     let ansatz = Ansatz::new(1);
     let mut doctored = 0u64;
-    for path in paths {
-        let Ok(payload) = read_record_file(&path) else {
+    for path in Namespace::<ReuseRecord>::new(dir)
+        .entries()
+        .unwrap_or_default()
+    {
+        let Load::Hit(mut record) = ReuseRecord::load(&path, OnCorrupt::Keep, |_| true) else {
             continue;
         };
-        let Ok(mut record) = parse_reuse_record(payload.text()) else {
-            continue;
-        };
-        if record.outcome == "composed" {
+        let entry = &mut record.entry;
+        if entry.outcome == ReuseOutcome::Composed {
             continue;
         }
-        record.outcome = "composed".to_string();
-        record.layers = 1;
-        record.hsd = 1e-9;
-        record.params = (0..ansatz.num_params())
+        entry.outcome = ReuseOutcome::Composed;
+        entry.layers = 1;
+        entry.hsd = 1e-9;
+        entry.params = (0..ansatz.num_params())
             .map(|i| 0.11 + 0.37 * i as f64)
             .collect();
-        let json = serde_json::to_string_pretty(&record).expect("reuse record serializes");
-        write_record_atomic(&path, &json).expect("doctor reuse entry");
+        record.publish(&path).expect("doctor reuse entry");
         doctored += 1;
     }
     doctored

@@ -1,8 +1,8 @@
-//! `fsck` for the on-disk stores: scans a store directory (including
-//! the shared cache's `objects/` shards), verifies every record's
-//! frame (length prefix + FNV checksum) and payload schema,
-//! quarantines anything corrupt to a `.corrupt-<digest>` sidecar, and
-//! reports what it found.
+//! `fsck` for the on-disk stores: scans a store directory (and its
+//! subdirectories), classifies every file of every `geyser-store`
+//! namespace through the same load the pipeline uses, quarantines
+//! anything corrupt to a `.corrupt-<digest>` sidecar, and reports what
+//! it found.
 //!
 //! Usage: `repair [--store DIR] [--prune] [--hardware PATH]
 //! [--json PATH]`
@@ -10,36 +10,39 @@
 //! * `--store DIR` — directory to scan (default `.geyser-cache`, the
 //!   shared home of the bench results cache, composition
 //!   checkpoints, and the cross-job reuse store under `reuse/`).
-//! * `--prune` — additionally reclaim debris: delete quarantine
-//!   sidecars, stale `.tmp` files from interrupted writes, and cache
-//!   entries whose schema version is stale (guaranteed misses), and
+//! * `--prune` — additionally reclaim debris through the store's one
+//!   prune (the same sweep a cache compaction runs): the stores'
+//!   quarantine sidecars, `.tmp` files from interrupted writes, and stale
+//!   entries of every namespace (another schema version, or — for the
+//!   reuse store — another hardware digest or composition config), and
 //!   truncate the torn tail a killed writer left on a write-ahead
 //!   journal (the same truncation recovery performs on open; bytes
 //!   reclaimed are reported per journal). Sidecars the scan *keeps* —
 //!   every sidecar without `--prune`, plus any whose removal failed —
 //!   are reported with their on-disk size and age, so operators can
 //!   see how much quarantine evidence is accumulating before deciding
-//!   to reclaim it. Reuse-store entries whose hardware digest or
-//!   composition-config hash no longer matches the machine being
-//!   repaired (see `--hardware`) are stale — guaranteed skips for
-//!   this machine — and are likewise reclaimed only under `--prune`,
-//!   with kept/reclaimed bytes reported in their own section.
+//!   to reclaim it. Reuse-store bytes kept and reclaimed are reported
+//!   in their own section. Run `--prune` only while no writer uses the
+//!   store: it deletes temp files a live writer may still rename.
 //! * `--hardware PATH` — the hardware spec the reuse staleness check
 //!   binds to (default: the paper machine). Entries are *current*
 //!   when their hardware digest matches and their config hash is one
 //!   of the two blessed pipeline configs (`fast`/`paper`).
 //! * `--json PATH` — write the scan report as JSON.
 //!
-//! Classification mirrors the loaders exactly: `ckpt-*` files go
-//! through the checkpoint loader, `*.journal` files through the
-//! journal scanner (a torn tail is reclaimable, mid-file corruption
-//! is not), the shared cache's `generation` header through the frame
-//! check, and everything else `.json` through the cache frame +
-//! schema check, so `repair` can never disagree with the pipeline
-//! about what is loadable. A `compaction.lock` is reported but never
-//! touched — only a compactor may judge it stale. Corrupt files are
-//! moved aside with the same structured warning (path + digest) and
-//! `store_corrupt_total` accounting the runtime uses.
+//! Files are dispatched by name: `cache-*.json`, `ckpt-*.json` and
+//! `reuse-*.json` go through their namespace's load (so `repair` can
+//! never disagree with the pipeline about what is loadable), unprefixed
+//! `.json` files under an `objects/` shard are cache entries of the
+//! older sharded layout (they load stale), `*.journal` files go through
+//! the journal scanner (a torn tail is reclaimable, mid-file corruption
+//! is not), and a namespace's `generation` header through the header
+//! schema. A `compaction.lock` is reported but never touched — only a
+//! compactor may judge it stale — and files of no store, temps and
+//! sidecars of other tools included, are reported `unknown` and left
+//! alone. Corrupt files are moved aside with the same structured
+//! warning (path + digest) and `store_corrupt_total` accounting the
+//! runtime uses.
 //!
 //! Exits 0 when every surviving file is healthy or safely
 //! quarantined, [`exit_codes::FAILURES`] when a corrupt file could
@@ -49,17 +52,13 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    is_corrupt_sidecar, quarantine_corrupt, read_record_file, truncate_torn_tail, StoreReadError,
+    sweep_debris, sweep_file, truncate_torn_tail, Found, GenerationHeader, Load, Namespace,
+    OnCorrupt, Schema, StoreReadError, COMPACTION_LOCK_SUFFIX, GENERATION_SUFFIX,
 };
 use geyser::{HardwareSpec, PipelineConfig, Telemetry};
-use geyser_bench::{
-    classify_cache_payload, exit_codes, report_json, CachePayloadStatus, CACHE_COMPACTION_LOCK,
-    CACHE_GENERATION_FILE,
-};
-use geyser_reuse::{is_reuse_entry, parse_reuse_record, reuse_config_hash};
-use geyser_supervisor::{
-    load_checkpoint_quarantining, load_journal_events, CheckpointError, JournalError,
-};
+use geyser_bench::{exit_codes, report_json, CacheEntry};
+use geyser_reuse::{reuse_config_hash, ReuseRecord};
+use geyser_supervisor::{load_journal_events, Checkpoint};
 use serde::Serialize;
 
 /// What the scan decided about one file.
@@ -67,7 +66,8 @@ use serde::Serialize;
 enum FileStatus {
     /// Frame and payload verified.
     Healthy,
-    /// Parses, but its schema version guarantees a cache miss.
+    /// Healthy, but written under another schema version — a
+    /// guaranteed miss that `--prune` reclaims.
     StaleVersion,
     /// A `.corrupt-<digest>` sidecar from an earlier quarantine.
     Sidecar,
@@ -95,7 +95,7 @@ enum FileStatus {
     QuarantineFailed,
     /// Unreadable (permissions, vanished mid-scan).
     Unreadable,
-    /// Not a store file; left alone.
+    /// Not a file of any store; left alone.
     Unknown,
 }
 
@@ -221,39 +221,24 @@ fn parse_args() -> Args {
     args
 }
 
-/// The hardware/config binding reuse entries are judged against: the
-/// repaired machine's hardware digest plus the config hashes of the
-/// two blessed pipeline configurations. Anything else is stale *for
-/// this machine* — still loadable, but a guaranteed skip.
-struct ReuseBinding {
-    hardware_digest: u64,
-    config_hashes: [u64; 2],
-}
-
-impl ReuseBinding {
-    fn new(hardware: &HardwareSpec) -> Self {
-        let hash = |cfg: &PipelineConfig| {
-            let c = cfg.composition;
-            reuse_config_hash(
-                c.epsilon,
-                c.max_layers,
-                c.anneal_iters,
-                c.restarts,
-                c.retry_attempts,
-            )
-        };
-        ReuseBinding {
-            hardware_digest: hardware.digest(),
-            config_hashes: [
-                hash(&PipelineConfig::fast()),
-                hash(&PipelineConfig::paper()),
-            ],
-        }
-    }
-
-    fn is_current(&self, hardware_digest: u64, config_hash: u64) -> bool {
-        hardware_digest == self.hardware_digest && self.config_hashes.contains(&config_hash)
-    }
+/// Whether a reuse entry is current for the repaired machine: its
+/// hardware digest matches and its config hash is one of the two
+/// blessed pipeline configurations. Anything else is stale *for this
+/// machine* — still loadable, but a guaranteed skip.
+fn reuse_binding(hardware: &HardwareSpec) -> impl Fn(&ReuseRecord) -> bool {
+    let hash = |cfg: PipelineConfig| {
+        let c = cfg.composition;
+        reuse_config_hash(
+            c.epsilon,
+            c.max_layers,
+            c.anneal_iters,
+            c.restarts,
+            c.retry_attempts,
+        )
+    };
+    let digest = hardware.digest();
+    let hashes = [hash(PipelineConfig::fast()), hash(PipelineConfig::paper())];
+    move |r| r.key.hardware_digest == digest && hashes.contains(&r.key.config_hash)
 }
 
 /// Size and age (seconds since last modification) of a quarantine
@@ -264,71 +249,80 @@ fn sidecar_stats(path: &Path) -> (Option<u64>, Option<u64>) {
     let Ok(meta) = std::fs::metadata(path) else {
         return (None, None);
     };
-    let age_secs = meta
-        .modified()
-        .ok()
-        .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-        .map(|age| age.as_secs());
+    let age_secs = meta.modified().ok().and_then(|mtime| mtime.elapsed().ok());
+    let age_secs = age_secs.map(|age| age.as_secs());
     (Some(meta.len()), age_secs)
 }
 
-/// What the scan learned about one file beyond its status.
-struct Scan {
-    status: FileStatus,
-    /// Torn-tail bytes (journals only).
-    torn_bytes: Option<u64>,
-    /// Intact events replayed (journals only).
-    journal_events: Option<u64>,
-}
-
-impl Scan {
-    fn plain(status: FileStatus) -> Scan {
-        Scan {
+impl FileReport {
+    fn plain(status: FileStatus) -> FileReport {
+        FileReport {
+            path: String::new(),
             status,
+            pruned: false,
+            bytes: None,
+            age_secs: None,
             torn_bytes: None,
             journal_events: None,
+        }
+    }
+
+    fn quarantined(corrupt: &Path) -> FileReport {
+        FileReport::plain(if corrupt.exists() {
+            FileStatus::QuarantineFailed
+        } else {
+            FileStatus::Quarantined
+        })
+    }
+
+    /// A namespace sweep's outcome, with the namespace's names for a
+    /// current and a stale entry.
+    fn swept((found, pruned): (Found, bool), current: FileStatus, stale: FileStatus) -> FileReport {
+        let status = match found {
+            Found::Current => current,
+            Found::Stale => stale,
+            Found::Absent => FileStatus::Unreadable,
+            Found::Corrupt { quarantined: true } => FileStatus::Quarantined,
+            Found::Corrupt { quarantined: false } => FileStatus::QuarantineFailed,
+            Found::Sidecar => FileStatus::Sidecar,
+            Found::Tmp => FileStatus::StaleTmp,
+        };
+        FileReport {
+            pruned,
+            ..FileReport::plain(status)
         }
     }
 }
 
 /// Classifies one store file, quarantining corruption exactly like
-/// the pipeline's own loaders would.
-fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan {
+/// the pipeline's own loaders would, and under `prune` reclaims it if
+/// it is debris. The caller fills in the path, size and age.
+fn scan_file(
+    path: &Path,
+    reuse_current: &dyn Fn(&ReuseRecord) -> bool,
+    telemetry: &Telemetry,
+    prune: bool,
+) -> FileReport {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
-    if is_corrupt_sidecar(path) {
-        return Scan::plain(FileStatus::Sidecar);
+    if !is_store_file(path, &name) {
+        return FileReport::plain(FileStatus::Unknown);
     }
-    if name.ends_with(".tmp") {
-        return Scan::plain(FileStatus::StaleTmp);
+    if let Some(swept) = sweep_debris(path, prune, telemetry) {
+        return FileReport::swept(swept, FileStatus::Unknown, FileStatus::Unknown);
     }
-    if name == CACHE_COMPACTION_LOCK {
-        return Scan::plain(FileStatus::Lock);
+    if name.ends_with(COMPACTION_LOCK_SUFFIX) {
+        return FileReport::plain(FileStatus::Lock);
     }
-    if name == CACHE_GENERATION_FILE {
-        // The shared cache's generation header: one framed record. A
-        // corrupt header is quarantined; the next cache open heals it
-        // from the surviving entries.
-        return match read_record_file(path) {
-            Ok(_) => Scan::plain(FileStatus::GenerationHeader),
-            Err(StoreReadError::Corrupt(_)) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "generation header corrupt",
-                    "cache",
-                    telemetry,
-                );
-                Scan::plain(if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                })
-            }
-            Err(StoreReadError::Io(_)) => Scan::plain(FileStatus::Unreadable),
+    if name.ends_with(GENERATION_SUFFIX) {
+        // A generational namespace's header. A corrupt header is
+        // quarantined; the next open heals it from the live entries.
+        return match GenerationHeader::load(path, OnCorrupt::Quarantine(telemetry), |_| true) {
+            Load::Hit(_) | Load::Stale => FileReport::plain(FileStatus::GenerationHeader),
+            Load::Absent => FileReport::plain(FileStatus::Unreadable),
+            Load::Corrupt(_) => FileReport::quarantined(path),
         };
     }
     if name.ends_with(".journal") {
@@ -337,121 +331,74 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan
         // mid-file corruption means the journal cannot be trusted and
         // is quarantined whole.
         return match load_journal_events(path) {
-            Ok((events, torn_bytes)) => Scan {
-                status: if torn_bytes > 0 {
+            Ok((events, torn_bytes)) => FileReport {
+                pruned: prune && torn_bytes > 0 && truncate_torn_tail(path).is_ok(),
+                torn_bytes: Some(torn_bytes),
+                journal_events: Some(events.len() as u64),
+                ..FileReport::plain(if torn_bytes > 0 {
                     FileStatus::JournalTorn
                 } else {
                     FileStatus::Journal
-                },
-                torn_bytes: Some(torn_bytes),
-                journal_events: Some(events.len() as u64),
-            },
-            Err(JournalError::Corrupt { .. }) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "journal corrupt mid-file",
-                    "journal",
-                    telemetry,
-                );
-                Scan::plain(if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
                 })
+            },
+            Err(StoreReadError::Corrupt(c)) => {
+                OnCorrupt::Quarantine(telemetry).apply(c, "journal");
+                FileReport::quarantined(path)
             }
-            Err(JournalError::Io(_)) => Scan::plain(FileStatus::Unreadable),
+            Err(StoreReadError::Io(_)) => FileReport::plain(FileStatus::Unreadable),
         };
     }
     if !name.ends_with(".json") {
-        return Scan::plain(FileStatus::Unknown);
+        return FileReport::plain(FileStatus::Unknown);
     }
-    if is_reuse_entry(path) {
-        // Cross-job reuse entry: frame first, then the reuse schema
-        // (the same parse `load_reuse_dir` runs), then the staleness
-        // check against the repaired machine's binding.
-        return Scan::plain(match read_record_file(path) {
-            Ok(payload) => match parse_reuse_record(payload.text()) {
-                Ok(record) if binding.is_current(record.hardware_digest, record.config_hash) => {
-                    FileStatus::ReuseEntry
-                }
-                Ok(_) => FileStatus::ReuseStale,
-                Err(reason) => {
-                    let bytes = std::fs::read(path).unwrap_or_default();
-                    quarantine_corrupt(path, &bytes, &reason, "reuse", telemetry);
-                    if path.exists() {
-                        FileStatus::QuarantineFailed
-                    } else {
-                        FileStatus::Quarantined
-                    }
-                }
-            },
-            Err(StoreReadError::Corrupt(_)) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(path, &bytes, "record frame corrupt", "reuse", telemetry);
-                if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                }
-            }
-            Err(StoreReadError::Io(_)) => FileStatus::Unreadable,
-        });
+    let (healthy, stale) = (FileStatus::Healthy, FileStatus::StaleVersion);
+    if Namespace::<ReuseRecord>::owns(path) {
+        let swept = sweep_file(path, reuse_current, telemetry, prune);
+        FileReport::swept(swept, FileStatus::ReuseEntry, FileStatus::ReuseStale)
+    } else if Namespace::<Checkpoint>::owns(path) {
+        FileReport::swept(
+            sweep_file::<Checkpoint>(path, |_| true, telemetry, prune),
+            healthy,
+            stale,
+        )
+    } else {
+        FileReport::swept(
+            sweep_file::<CacheEntry>(path, |_| true, telemetry, prune),
+            healthy,
+            stale,
+        )
     }
-    if name.starts_with("ckpt-") {
-        // Composition checkpoint: the loader verifies the frame,
-        // parses the JSON, checks the schema version, and quarantines
-        // on any corruption.
-        return Scan::plain(match load_checkpoint_quarantining(path, telemetry) {
-            Ok(_) => FileStatus::Healthy,
-            Err(CheckpointError::Corrupt { .. }) => {
-                if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                }
-            }
-            Err(CheckpointError::Io(_)) => FileStatus::Unreadable,
-        });
-    }
-    // Results-cache entry: frame first, then the cache schema.
-    Scan::plain(match read_record_file(path) {
-        Ok(payload) => match classify_cache_payload(payload.text()) {
-            CachePayloadStatus::Current => FileStatus::Healthy,
-            CachePayloadStatus::StaleVersion => FileStatus::StaleVersion,
-            CachePayloadStatus::Malformed => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "cache JSON does not parse",
-                    "cache",
-                    telemetry,
-                );
-                if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                }
-            }
-        },
-        Err(StoreReadError::Corrupt(_)) => {
-            let bytes = std::fs::read(path).unwrap_or_default();
-            quarantine_corrupt(path, &bytes, "record frame corrupt", "cache", telemetry);
-            if path.exists() {
-                FileStatus::QuarantineFailed
-            } else {
-                FileStatus::Quarantined
-            }
-        }
-        Err(StoreReadError::Io(_)) => FileStatus::Unreadable,
-    })
 }
 
-/// Collects every file under `dir`, recursing into subdirectories
-/// (the shared cache's `objects/` shards). Deterministic: the final
-/// list is sorted by path.
+/// Whether `path` belongs to a store: a file of the cache, checkpoint
+/// or reuse namespace (entries, generation header, lock, and their
+/// sidecars and temps), a cache entry of the older sharded layout, or
+/// a journal with its sidecars and temp. `repair` touches no other
+/// file, so a `.tmp` or `.corrupt-*` of another tool survives
+/// `--prune`.
+fn is_store_file(path: &Path, name: &str) -> bool {
+    Namespace::<CacheEntry>::owns(path)
+        || Namespace::<Checkpoint>::owns(path)
+        || Namespace::<ReuseRecord>::owns(path)
+        || in_sharded_cache(path)
+        || name.ends_with(".journal")
+        || name.contains(".journal.")
+}
+
+/// Whether `path` sits in an `objects/<hh>/` shard: the cache layout
+/// before entries moved flat beside the checkpoints. Such entries are
+/// of an older version, so they load stale and `--prune` reclaims them.
+fn in_sharded_cache(path: &Path) -> bool {
+    path.parent()
+        .and_then(Path::parent)
+        .and_then(Path::file_name)
+        .map(|n| n == "objects")
+        .unwrap_or(false)
+}
+
+/// Collects every file under `dir`, recursing into subdirectories (a
+/// reuse store under `reuse/`, older `objects/` shards). Deterministic:
+/// the caller sorts the list by path.
 fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -478,7 +425,7 @@ fn main() {
         },
         None => HardwareSpec::paper(),
     };
-    let binding = ReuseBinding::new(&hardware);
+    let reuse_current = reuse_binding(&hardware);
 
     if !args.store.is_dir() {
         eprintln!(
@@ -492,149 +439,83 @@ fn main() {
     paths.sort();
 
     let mut files = Vec::new();
-    let mut journal_bytes_reclaimed = 0u64;
     for path in &paths {
-        let scan = scan_file(path, &binding, &telemetry);
-        let status = scan.status;
-        // Quarantine evidence and reuse entries are sized (and aged,
-        // for sidecars) *before* any prune so the report can say what
-        // was reclaimed vs. what is still accumulating on disk.
-        let (bytes, age_secs) = match status {
-            FileStatus::Sidecar => sidecar_stats(path),
-            FileStatus::ReuseEntry | FileStatus::ReuseStale => (sidecar_stats(path).0, None),
+        // Sidecars and reuse entries are sized (and sidecars aged)
+        // *before* any prune so the report can say what was reclaimed
+        // vs. what is still accumulating on disk.
+        let (size, age) = sidecar_stats(path);
+        // Debris is only reclaimed on request: sidecars are evidence,
+        // dead .tmp files are harmless, stale entries are merely
+        // guaranteed misses. A torn journal is not deleted but
+        // truncated — exactly what recovery's open would do — so the
+        // intact prefix stays replayable.
+        let mut file = scan_file(path, &reuse_current, &telemetry, args.prune);
+        (file.bytes, file.age_secs) = match file.status {
+            FileStatus::Sidecar => (size, age),
+            FileStatus::ReuseEntry | FileStatus::ReuseStale => (size, None),
             _ => (None, None),
         };
-        // Debris is only reclaimed on request: sidecars are evidence,
-        // stale .tmp files are harmless, stale-version cache entries
-        // and stale reuse entries are merely guaranteed misses/skips.
-        // A torn journal is not deleted but truncated — exactly what
-        // recovery's open would do — so the intact prefix stays
-        // replayable.
-        let reclaimable = matches!(
-            status,
-            FileStatus::Sidecar
-                | FileStatus::StaleTmp
-                | FileStatus::StaleVersion
-                | FileStatus::ReuseStale
-        );
-        let pruned = if args.prune && status == FileStatus::JournalTorn {
-            match truncate_torn_tail(path) {
-                Ok(reclaimed) => {
-                    journal_bytes_reclaimed += reclaimed;
-                    true
-                }
-                Err(_) => false,
-            }
-        } else {
-            args.prune && reclaimable && std::fs::remove_file(path).is_ok()
-        };
         // Quarantine renames the file, so report the original name —
-        // relative to the store root so `objects/` shards stay
-        // distinguishable.
-        let rel = path
+        // relative to the store root so files in subdirectories (a
+        // reuse store under `reuse/`) stay distinguishable.
+        file.path = path
             .strip_prefix(&args.store)
             .map(|p| p.to_string_lossy().into_owned())
             .unwrap_or_else(|_| path.display().to_string());
-        match (status, bytes, age_secs, pruned) {
-            (FileStatus::Sidecar, Some(b), Some(age), false) => {
-                println!("{rel}: {} (kept, {b} bytes, {age}s old)", status.label());
+        let events = file.journal_events.unwrap_or(0);
+        let note = match (file.status, file.bytes, file.age_secs) {
+            (FileStatus::Sidecar, Some(b), Some(age)) if !file.pruned => {
+                format!(" (kept, {b} bytes, {age}s old)")
             }
-            (FileStatus::Journal, _, _, _) => println!(
-                "{rel}: {} ({} event(s))",
-                status.label(),
-                scan.journal_events.unwrap_or(0)
+            (FileStatus::Journal, ..) => format!(" ({events} event(s))"),
+            (FileStatus::JournalTorn, ..) => format!(
+                " ({events} event(s) intact, {} torn byte(s) {})",
+                file.torn_bytes.unwrap_or(0),
+                if file.pruned {
+                    "reclaimed"
+                } else {
+                    "reclaimable"
+                }
             ),
-            (FileStatus::JournalTorn, _, _, true) => println!(
-                "{rel}: {} ({} event(s) intact, {} torn byte(s) reclaimed)",
-                status.label(),
-                scan.journal_events.unwrap_or(0),
-                scan.torn_bytes.unwrap_or(0)
-            ),
-            (FileStatus::JournalTorn, _, _, false) => println!(
-                "{rel}: {} ({} event(s) intact, {} torn byte(s) reclaimable)",
-                status.label(),
-                scan.journal_events.unwrap_or(0),
-                scan.torn_bytes.unwrap_or(0)
-            ),
-            _ => println!(
-                "{rel}: {}{}",
-                status.label(),
-                if pruned { " (pruned)" } else { "" }
-            ),
-        }
-        files.push(FileReport {
-            path: rel,
-            status,
-            pruned,
-            bytes,
-            age_secs,
-            torn_bytes: scan.torn_bytes,
-            journal_events: scan.journal_events,
-        });
+            _ if file.pruned => " (pruned)".to_string(),
+            _ => String::new(),
+        };
+        println!("{}: {}{note}", file.path, file.status.label());
+        files.push(file);
     }
 
-    let kept_sidecars: Vec<&FileReport> = files
-        .iter()
-        .filter(|f| f.status == FileStatus::Sidecar && !f.pruned)
-        .collect();
-    let sidecar_bytes_total = kept_sidecars.iter().filter_map(|f| f.bytes).sum::<u64>();
-    let sidecar_oldest_age_secs = kept_sidecars
-        .iter()
-        .filter_map(|f| f.age_secs)
-        .max()
-        .unwrap_or(0);
-    let sidecars_kept = kept_sidecars.len();
-
-    let reuse_entries = files
-        .iter()
-        .filter(|f| f.status == FileStatus::ReuseEntry)
-        .count();
-    let reuse_stale = files
-        .iter()
-        .filter(|f| f.status == FileStatus::ReuseStale)
-        .count();
-    let reuse_bytes_kept = files
-        .iter()
-        .filter(|f| {
-            matches!(f.status, FileStatus::ReuseEntry | FileStatus::ReuseStale) && !f.pruned
-        })
-        .filter_map(|f| f.bytes)
-        .sum::<u64>();
-    let reuse_bytes_reclaimed = files
-        .iter()
-        .filter(|f| f.status == FileStatus::ReuseStale && f.pruned)
-        .filter_map(|f| f.bytes)
-        .sum::<u64>();
-
+    let count = |keep: &dyn Fn(&FileReport) -> bool| files.iter().filter(|f| keep(f)).count();
+    let sum = |keep: &dyn Fn(&FileReport) -> bool, field: fn(&FileReport) -> Option<u64>| {
+        files.iter().filter(|f| keep(f)).filter_map(field).sum()
+    };
+    let bytes = |keep: &dyn Fn(&FileReport) -> bool| sum(keep, |f| f.bytes);
+    let torn = |keep: &dyn Fn(&FileReport) -> bool| sum(keep, |f| f.torn_bytes);
+    let is = |status: FileStatus| move |f: &FileReport| f.status == status;
+    let kept_sidecar = |f: &FileReport| f.status == FileStatus::Sidecar && !f.pruned;
     let report = RepairReport {
         store: args.store.display().to_string(),
         scanned: files.len(),
-        healthy: files
+        healthy: count(&is(FileStatus::Healthy)),
+        quarantined: count(&is(FileStatus::Quarantined)),
+        quarantine_failed: count(&is(FileStatus::QuarantineFailed)),
+        pruned: count(&|f| f.pruned),
+        sidecars_kept: count(&kept_sidecar),
+        sidecar_bytes_total: bytes(&kept_sidecar),
+        sidecar_oldest_age_secs: files
             .iter()
-            .filter(|f| f.status == FileStatus::Healthy)
-            .count(),
-        quarantined: files
-            .iter()
-            .filter(|f| f.status == FileStatus::Quarantined)
-            .count(),
-        quarantine_failed: files
-            .iter()
-            .filter(|f| f.status == FileStatus::QuarantineFailed)
-            .count(),
-        pruned: files.iter().filter(|f| f.pruned).count(),
-        sidecars_kept,
-        sidecar_bytes_total,
-        sidecar_oldest_age_secs,
-        journals: files
-            .iter()
-            .filter(|f| matches!(f.status, FileStatus::Journal | FileStatus::JournalTorn))
-            .count(),
-        journal_torn_bytes: files.iter().filter_map(|f| f.torn_bytes).sum(),
-        journal_bytes_reclaimed,
-        reuse_entries,
-        reuse_stale,
-        reuse_bytes_kept,
-        reuse_bytes_reclaimed,
+            .filter(|f| kept_sidecar(f))
+            .filter_map(|f| f.age_secs)
+            .max()
+            .unwrap_or(0),
+        journals: count(&|f| matches!(f.status, FileStatus::Journal | FileStatus::JournalTorn)),
+        journal_torn_bytes: torn(&|_| true),
+        journal_bytes_reclaimed: torn(&|f| f.status == FileStatus::JournalTorn && f.pruned),
+        reuse_entries: count(&is(FileStatus::ReuseEntry)),
+        reuse_stale: count(&is(FileStatus::ReuseStale)),
+        reuse_bytes_kept: bytes(&|f| {
+            matches!(f.status, FileStatus::ReuseEntry | FileStatus::ReuseStale) && !f.pruned
+        }),
+        reuse_bytes_reclaimed: bytes(&|f| f.status == FileStatus::ReuseStale && f.pruned),
         store_corrupt_total: telemetry
             .counter_value(geyser::store::STORE_CORRUPT_COUNTER)
             .unwrap_or(0),

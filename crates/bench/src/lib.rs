@@ -105,9 +105,8 @@ pub mod timing;
 use std::collections::BTreeMap;
 
 pub use cache::{
-    classify_cache_payload, compile_cached, scan_generation, CachePayloadStatus, CompactionOutcome,
-    SharedCache, CACHE_COMPACTION_LOCK, CACHE_GENERATION_FILE, CACHE_LOCK_STALE_MS,
-    CACHE_OBJECTS_DIR, CACHE_ROOT, CACHE_VERSION_MISS_COUNTER,
+    compile_cached, scan_generation, CacheEntry, SharedCache, CACHE_ROOT,
+    CACHE_VERSION_MISS_COUNTER,
 };
 use geyser::{
     CompileReport, CompiledCircuit, FaultInjector, FaultSpecError, HardwareSpec, MetricsSnapshot,

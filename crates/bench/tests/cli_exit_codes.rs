@@ -68,11 +68,20 @@ fn repair_scans_quarantines_and_prunes() {
     let dir = tempdir("repair");
     // A committed record, then torn in half: repair must quarantine
     // it (exit 0 — the store is healthy again) and report the action.
-    let victim = dir.join("entry.json");
-    geyser::store::write_record_atomic(&victim, "{\"k\":1}").unwrap();
+    let victim = dir.join("cache-00000000000000aa.json");
+    geyser::store::write_record(&victim, "{\"k\":1}").unwrap();
     let body = std::fs::read(&victim).unwrap();
     std::fs::write(&victim, &body[..body.len() / 2]).unwrap();
-    std::fs::write(dir.join("stray.json.tmp"), "half-written").unwrap();
+    std::fs::write(
+        dir.join("cache-00000000000000bb.json.1-1.tmp"),
+        "half-written",
+    )
+    .unwrap();
+    // Debris of no store: another tool's temp file and sidecar.
+    let foreign = [dir.join("x.tmp"), dir.join("notes.json.corrupt-00ff")];
+    for path in &foreign {
+        std::fs::write(path, "not ours").unwrap();
+    }
 
     let out = Command::new(env!("CARGO_BIN_EXE_repair"))
         .args(["--store", dir.to_str().unwrap()])
@@ -88,17 +97,26 @@ fn repair_scans_quarantines_and_prunes() {
     let sidecars = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("cache-"))
         .filter(|e| e.file_name().to_string_lossy().contains(".corrupt-"))
         .count();
     assert_eq!(sidecars, 1);
 
-    // Second pass with --prune reclaims the sidecar and the stray tmp.
+    // Second pass with --prune reclaims the sidecar and the stray tmp,
+    // and leaves the files of no store alone.
     let out = Command::new(env!("CARGO_BIN_EXE_repair"))
         .args(["--store", dir.to_str().unwrap(), "--prune"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
-    let survivors = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(survivors, 0, "prune must reclaim sidecars and tmp files");
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        foreign.len(),
+        "prune must reclaim the store's sidecars and tmp files"
+    );
+    assert!(
+        foreign.iter().all(|p| p.exists()),
+        "files of no store survive"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,6 +29,7 @@ use geyser_telemetry::Telemetry;
 use geyser_verify::verify_block_candidate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 use crate::{Ansatz, AnsatzKernel, ComposeError, Entangler};
 
@@ -102,7 +103,7 @@ impl CompositionConfig {
 }
 
 /// Why a block kept its original (uncomposed) pulses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackReason {
     /// The search met ε but no candidate needed fewer pulses than the
     /// original (the normal Algorithm 2 rejection) — or the block was
@@ -134,23 +135,10 @@ impl FallbackReason {
             FallbackReason::Cancelled => "cancelled",
         }
     }
-
-    /// Parses a [`FallbackReason::label`] back to the reason (used by
-    /// checkpoint loaders).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "not-cheaper" => Some(FallbackReason::NotCheaper),
-            "non-convergence" => Some(FallbackReason::NonConvergence),
-            "budget-exhausted" => Some(FallbackReason::BudgetExhausted),
-            "epsilon-rejected" => Some(FallbackReason::EpsilonRejected),
-            "cancelled" => Some(FallbackReason::Cancelled),
-            _ => None,
-        }
-    }
 }
 
 /// Per-block outcome of whole-circuit composition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BlockOutcome {
     /// The composed candidate replaced the original block.
     Composed {
@@ -175,7 +163,7 @@ pub enum BlockOutcome {
 }
 
 /// Outcome of composing one block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompositionResult {
     /// The block circuit to execute (composed, or the original when
     /// composition did not win).
@@ -217,7 +205,7 @@ impl ComposeFaults {
 }
 
 /// Aggregate statistics of whole-circuit composition.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CompositionStats {
     /// Total blocks examined.
     pub blocks_total: usize,
@@ -2035,19 +2023,5 @@ mod tests {
         let composed = reuse_compose(&blocked, &cfg, &mut session);
         let stats = composed.stats.reuse.unwrap();
         assert!(stats.warm_starts >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn fallback_reason_labels_round_trip() {
-        for reason in [
-            FallbackReason::NotCheaper,
-            FallbackReason::NonConvergence,
-            FallbackReason::BudgetExhausted,
-            FallbackReason::EpsilonRejected,
-            FallbackReason::Cancelled,
-        ] {
-            assert_eq!(FallbackReason::from_label(reason.label()), Some(reason));
-        }
-        assert_eq!(FallbackReason::from_label("nonsense"), None);
     }
 }

@@ -59,16 +59,11 @@ pub use evaluate::{
     try_evaluate_tvd_traced, TvdReport,
 };
 pub use fault::{FaultInjector, FaultSpecError};
-pub use geyser_store::{
-    decode_record, encode_record, read_record_file, read_record_file_quarantining,
-    write_record_atomic, RecordError, RecordPayload, StoreCorruption, StoreReadError,
-};
 pub use pass::{CompileContext, Pass, PassManager};
 pub use report::{CompileReport, PassReport, SupervisionStats, VerificationStats};
-// The record layer moved to its own crate so non-core consumers (the
-// reuse index, future stores) can share it without depending on the
-// whole pipeline; `geyser::store::*` paths keep working via this
-// re-export.
+// The persistence layer lives in its own crate so non-core consumers
+// (the reuse store, the hardware digest) can share it without
+// depending on the whole pipeline.
 pub use geyser_store as store;
 pub use technique::{try_compile, Technique};
 pub use verify::{verification_allowance, verification_stats, verify_compiled};

@@ -108,22 +108,20 @@ fn persistent_store_replays_across_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Outcome labels of every entry in a reuse store directory.
-fn store_outcomes(dir: &std::path::Path) -> Vec<String> {
-    let mut out = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if !geyser_reuse::is_reuse_entry(&path) {
-                continue;
-            }
-            if let Ok(payload) = geyser::store::read_record_file(&path) {
-                if let Ok(record) = geyser_reuse::parse_reuse_record(payload.text()) {
-                    out.push(record.outcome);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
+/// Outcomes of every entry in a reuse store directory, in file order.
+fn store_outcomes(dir: &std::path::Path) -> Vec<geyser_reuse::ReuseOutcome> {
+    use geyser::store::{Load, Namespace, OnCorrupt, Schema};
+    use geyser_reuse::ReuseRecord;
+    let entries = Namespace::<ReuseRecord>::new(dir)
+        .entries()
+        .unwrap_or_default();
+    entries
+        .iter()
+        .filter_map(
+            |path| match ReuseRecord::load(path, OnCorrupt::Keep, |_| true) {
+                Load::Hit(record) => Some(record.entry.outcome),
+                _ => None,
+            },
+        )
+        .collect()
 }

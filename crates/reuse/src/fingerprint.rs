@@ -28,6 +28,7 @@
 use geyser_num::{CMatrix, Complex};
 use geyser_store::fnv1a_bytes;
 use geyser_synth::makhlin_invariants;
+use serde::{Deserialize, Serialize};
 
 /// Quantization tolerance for exact fingerprints. Three orders of
 /// magnitude below the default composition ε (1e-3): bucket-boundary
@@ -58,7 +59,7 @@ pub fn quantize(x: f64, tol: f64) -> i64 {
 }
 
 /// A canonical, hashable block-equivalence key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BlockFingerprint {
     /// Quantized Makhlin invariants `(Re G₁, Im G₁, G₂)` of a 4×4
     /// unitary: equal variants ⇔ locally equivalent gates.
@@ -117,7 +118,7 @@ impl BlockFingerprint {
         })
     }
 
-    /// Stable label for serialization and diagnostics.
+    /// Stable label of the fingerprint kind (part of the key digest).
     pub fn kind_label(&self) -> &'static str {
         match self {
             BlockFingerprint::TwoQubit { .. } => "two-qubit",
@@ -125,27 +126,11 @@ impl BlockFingerprint {
         }
     }
 
-    /// The three integer components, in serialization order.
+    /// The three integer components (part of the key digest).
     pub fn components(&self) -> (i64, i64, i64) {
         match *self {
             BlockFingerprint::TwoQubit { g1_re, g1_im, g2 } => (g1_re, g1_im, g2),
             BlockFingerprint::Canonical { dim, digest } => (dim as i64, digest as i64, 0),
-        }
-    }
-
-    /// Rebuilds a fingerprint from its serialized kind + components.
-    pub fn from_parts(kind: &str, a: i64, b: i64, c: i64) -> Option<BlockFingerprint> {
-        match kind {
-            "two-qubit" => Some(BlockFingerprint::TwoQubit {
-                g1_re: a,
-                g1_im: b,
-                g2: c,
-            }),
-            "canonical" => Some(BlockFingerprint::Canonical {
-                dim: u8::try_from(a).ok()?,
-                digest: b as u64,
-            }),
-            _ => None,
         }
     }
 }
@@ -219,29 +204,6 @@ mod tests {
             canonical_digest(&u, FINGERPRINT_TOL).unwrap(),
             canonical_digest(&v, FINGERPRINT_TOL).unwrap()
         );
-    }
-
-    #[test]
-    fn fingerprint_roundtrips_through_parts() {
-        let fps = [
-            BlockFingerprint::TwoQubit {
-                g1_re: -3,
-                g1_im: 7,
-                g2: 1_000_000,
-            },
-            BlockFingerprint::Canonical {
-                dim: 8,
-                digest: u64::MAX - 17,
-            },
-        ];
-        for fp in fps {
-            let (a, b, c) = fp.components();
-            assert_eq!(
-                BlockFingerprint::from_parts(fp.kind_label(), a, b, c),
-                Some(fp)
-            );
-        }
-        assert_eq!(BlockFingerprint::from_parts("nope", 0, 0, 0), None);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub fn reuse_config_hash(
 /// A fully-qualified reuse lookup key: the block fingerprint bound to
 /// the hardware digest and composition-config hash, so an entry never
 /// crosses machines or annealer configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ReuseKey {
     /// Canonical block fingerprint.
     pub fingerprint: BlockFingerprint,
@@ -63,7 +63,7 @@ impl ReuseKey {
 /// unitary, so replaying the fallback skips the most expensive kind
 /// of annealing — the kind that burns the whole budget and converges
 /// to nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReuseOutcome {
     /// Annealing found an accepted, cheaper composition.
     Composed,
@@ -82,31 +82,8 @@ pub enum ReuseOutcome {
     NonConvergent,
 }
 
-impl ReuseOutcome {
-    /// Stable serialization label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReuseOutcome::Composed => "composed",
-            ReuseOutcome::NotCheaper => "not-cheaper",
-            ReuseOutcome::EpsilonRejected => "epsilon-rejected",
-            ReuseOutcome::NonConvergent => "non-convergent",
-        }
-    }
-
-    /// Parses a serialization label.
-    pub fn from_label(label: &str) -> Option<ReuseOutcome> {
-        match label {
-            "composed" => Some(ReuseOutcome::Composed),
-            "not-cheaper" => Some(ReuseOutcome::NotCheaper),
-            "epsilon-rejected" => Some(ReuseOutcome::EpsilonRejected),
-            "non-convergent" => Some(ReuseOutcome::NonConvergent),
-            _ => None,
-        }
-    }
-}
-
 /// One cached composition result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReuseEntry {
     /// What the original composition concluded.
     pub outcome: ReuseOutcome,

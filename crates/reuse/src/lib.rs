@@ -41,6 +41,5 @@ pub use fingerprint::{
 };
 pub use index::{reuse_config_hash, ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession, ReuseStats};
 pub use persist::{
-    is_reuse_entry, load_reuse_dir, parse_reuse_record, reuse_entry_path, save_reuse_dir,
-    LoadedReuse, ReuseRecord, REUSE_FILE_PREFIX, REUSE_VERSION,
+    load_reuse_dir, save_reuse_dir, LoadedReuse, ReuseRecord, REUSE_FILE_PREFIX, REUSE_VERSION,
 };

@@ -1,34 +1,33 @@
-//! The persistent cross-job reuse store.
+//! The persistent cross-job reuse store: the `reuse` namespace of
+//! `geyser-store`.
 //!
-//! One `reuse-<keydigest:016x>.json` file per entry, living alongside
-//! the shared compile cache (by default under `.geyser-cache/reuse`).
-//! Every file is a `GEYSREC1`-framed JSON [`ReuseRecord`]: atomic
-//! tmp+rename writes, torn-write/bit-rot detection, corrupt files
-//! quarantined to `.corrupt-<digest>` sidecars under the `reuse`
-//! corruption label. Digest-keyed file names make concurrent writers
-//! idempotent — two processes publishing the same fingerprint race to
-//! write equivalent records.
+//! One `reuse-<keydigest:016x>.json` file per entry in a flat
+//! directory. Every file is a `GEYSREC1`-framed JSON [`ReuseRecord`],
+//! published with a writer-unique temp file and an atomic rename, so
+//! two processes publishing the same fingerprint each land a whole
+//! record and the last rename wins.
 //!
 //! Entries embed their hardware digest and composition-config hash;
 //! the loader *skips* (never deletes) entries bound to another
-//! configuration, so one store directory serves many machines and
-//! configs at once. `repair --prune` reclaims entries whose digests
-//! are stale for the machine being repaired.
+//! configuration or written under another [`REUSE_VERSION`], counting
+//! them stale, so one store directory serves many machines and configs
+//! at once. `repair --prune` reclaims stale entries; frame or schema
+//! corruption is quarantined under the `reuse` label.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::BlockFingerprint;
-use crate::index::{ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession};
-use geyser_store::{read_record_file_quarantining, write_record_atomic, StoreReadError};
+use crate::index::{ReuseEntry, ReuseKey, ReuseSession};
+use geyser_store::{Load, Namespace, OnCorrupt, Schema};
 use geyser_telemetry::Telemetry;
 
 /// Version stamp of the on-disk reuse record schema. Version 2 marks
-/// entries composed by the exact-gradient ansatz kernel; version-1
-/// entries (finite-difference search) fail the schema check and are
-/// quarantined, never replayed.
-pub const REUSE_VERSION: u32 = 2;
+/// entries composed by the exact-gradient ansatz kernel; version 3
+/// stores the key and entry as derived compact JSON. Entries of any
+/// other version load as stale and are never replayed.
+pub const REUSE_VERSION: u32 = 3;
 
 /// File-name prefix of reuse store entries.
 pub const REUSE_FILE_PREFIX: &str = "reuse-";
@@ -38,150 +37,19 @@ pub const REUSE_FILE_PREFIX: &str = "reuse-";
 pub struct ReuseRecord {
     /// Schema version ([`REUSE_VERSION`]).
     pub version: u32,
-    /// Exact fingerprint kind (`two-qubit` | `canonical`).
-    pub fingerprint_kind: String,
-    /// Exact fingerprint components (see
-    /// [`BlockFingerprint::components`]).
-    pub fp_a: i64,
-    /// Second exact component.
-    pub fp_b: i64,
-    /// Third exact component.
-    pub fp_c: i64,
-    /// Coarse (warm-start) fingerprint kind; empty when absent.
-    pub coarse_kind: String,
-    /// Coarse fingerprint components.
-    pub coarse_a: i64,
-    /// Second coarse component.
-    pub coarse_b: i64,
-    /// Third coarse component.
-    pub coarse_c: i64,
-    /// Hardware digest the composition was annealed for.
-    pub hardware_digest: u64,
-    /// Composition-config hash the composition was annealed under.
-    pub config_hash: u64,
-    /// Outcome label (see `ReuseOutcome::label`).
-    pub outcome: String,
-    /// Annealed ansatz parameters (composed outcomes only).
-    pub params: Vec<f64>,
-    /// Ansatz layer count for `params`.
-    pub layers: u64,
-    /// Verified Hilbert-Schmidt distance of the composition.
-    pub hsd: f64,
-    /// Annealer evaluations the original composition spent.
-    pub evaluations: u64,
+    /// The fully-qualified key: fingerprint, hardware digest and
+    /// composition-config hash.
+    pub key: ReuseKey,
+    /// Coarse (warm-start) fingerprint, when one was recorded.
+    pub coarse: Option<BlockFingerprint>,
+    /// The cached composition result.
+    pub entry: ReuseEntry,
 }
 
-impl ReuseRecord {
-    /// Builds the record for one published session entry.
-    pub fn from_entry(
-        key: &ReuseKey,
-        coarse: Option<BlockFingerprint>,
-        entry: &ReuseEntry,
-    ) -> Self {
-        let (fp_a, fp_b, fp_c) = key.fingerprint.components();
-        let (coarse_kind, coarse_a, coarse_b, coarse_c) = match coarse {
-            Some(cf) => {
-                let (a, b, c) = cf.components();
-                (cf.kind_label().to_string(), a, b, c)
-            }
-            None => (String::new(), 0, 0, 0),
-        };
-        ReuseRecord {
-            version: REUSE_VERSION,
-            fingerprint_kind: key.fingerprint.kind_label().to_string(),
-            fp_a,
-            fp_b,
-            fp_c,
-            coarse_kind,
-            coarse_a,
-            coarse_b,
-            coarse_c,
-            hardware_digest: key.hardware_digest,
-            config_hash: key.config_hash,
-            outcome: entry.outcome.label().to_string(),
-            params: entry.params.clone(),
-            layers: entry.layers as u64,
-            hsd: entry.hsd,
-            evaluations: entry.evaluations,
-        }
-    }
-
-    /// Reconstructs the fully-qualified key, or `None` if the kind or
-    /// components don't parse.
-    pub fn key(&self) -> Option<ReuseKey> {
-        let fingerprint =
-            BlockFingerprint::from_parts(&self.fingerprint_kind, self.fp_a, self.fp_b, self.fp_c)?;
-        Some(ReuseKey {
-            fingerprint,
-            hardware_digest: self.hardware_digest,
-            config_hash: self.config_hash,
-        })
-    }
-
-    /// Reconstructs the coarse fingerprint, if one was recorded.
-    pub fn coarse_fingerprint(&self) -> Option<BlockFingerprint> {
-        if self.coarse_kind.is_empty() {
-            return None;
-        }
-        BlockFingerprint::from_parts(
-            &self.coarse_kind,
-            self.coarse_a,
-            self.coarse_b,
-            self.coarse_c,
-        )
-    }
-
-    /// Reconstructs the in-memory entry, or `None` if the outcome
-    /// label is unknown.
-    pub fn entry(&self) -> Option<ReuseEntry> {
-        Some(ReuseEntry {
-            outcome: ReuseOutcome::from_label(&self.outcome)?,
-            params: self.params.clone(),
-            layers: self.layers as usize,
-            hsd: self.hsd,
-            evaluations: self.evaluations,
-        })
-    }
-}
-
-/// Path of the entry file for a key digest.
-pub fn reuse_entry_path(dir: &Path, key_digest: u64) -> PathBuf {
-    dir.join(format!("{REUSE_FILE_PREFIX}{key_digest:016x}.json"))
-}
-
-/// Whether a path names a (non-sidecar, non-tmp) reuse entry file.
-pub fn is_reuse_entry(path: &Path) -> bool {
-    let name = match path.file_name() {
-        Some(n) => n.to_string_lossy().into_owned(),
-        None => return false,
-    };
-    name.starts_with(REUSE_FILE_PREFIX) && name.ends_with(".json")
-}
-
-/// Parses a decoded record payload into a [`ReuseRecord`], with
-/// schema-level validation (version, fingerprint, outcome label).
-///
-/// This is the same parse `load_reuse_dir` and `repair` run, so a
-/// file that loads here is exactly a file the composer would accept.
-pub fn parse_reuse_record(payload: &str) -> Result<ReuseRecord, String> {
-    let record: ReuseRecord =
-        serde_json::from_str(payload).map_err(|e| format!("reuse record parse: {e}"))?;
-    if record.version != REUSE_VERSION {
-        return Err(format!(
-            "reuse record version {} (expected {REUSE_VERSION})",
-            record.version
-        ));
-    }
-    if record.key().is_none() {
-        return Err(format!(
-            "unknown fingerprint kind `{}`",
-            record.fingerprint_kind
-        ));
-    }
-    if record.entry().is_none() {
-        return Err(format!("unknown outcome label `{}`", record.outcome));
-    }
-    Ok(record)
+impl Schema for ReuseRecord {
+    const LABEL: &'static str = "reuse";
+    const PREFIX: &'static str = REUSE_FILE_PREFIX;
+    const VERSION: u64 = REUSE_VERSION as u64;
 }
 
 /// What one store-directory load observed.
@@ -189,88 +57,64 @@ pub fn parse_reuse_record(payload: &str) -> Result<ReuseRecord, String> {
 pub struct LoadedReuse {
     /// Entries matching the session's hardware/config binding.
     pub loaded: u64,
-    /// Healthy entries bound to another hardware/config (left in
-    /// place for their owners).
+    /// Healthy entries bound to another hardware/config or written
+    /// under another version (left in place for their owners).
     pub stale: u64,
     /// Corrupt files quarantined to sidecars during the scan.
     pub quarantined: u64,
 }
 
-/// Loads every matching entry from `dir` into `session`.
+/// Loads every matching entry from `dir` into `session`: one
+/// directory listing plus one read per entry.
 ///
 /// A missing directory is an empty store. Files are visited in
-/// sorted order so load accounting is deterministic; frame-corrupt
-/// and schema-corrupt files are quarantined in place (label `reuse`)
-/// and the scan continues — a rotten entry costs one recomposition,
-/// never the run.
+/// sorted order so load accounting is deterministic; corrupt files are
+/// quarantined in place (label `reuse`) and the scan continues — a
+/// rotten entry costs one recomposition, never the run.
 pub fn load_reuse_dir(
     dir: &Path,
     session: &mut ReuseSession,
     telemetry: &Telemetry,
 ) -> std::io::Result<LoadedReuse> {
     let mut observed = LoadedReuse::default();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(observed),
-        Err(e) => return Err(e),
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| is_reuse_entry(p))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let payload = match read_record_file_quarantining(&path, "reuse", telemetry) {
-            Ok(p) => p,
-            Err(StoreReadError::Corrupt(_)) => {
-                observed.quarantined += 1;
-                continue;
+    let (hardware_digest, config_hash) = (session.hardware_digest(), session.config_hash());
+    for path in Namespace::<ReuseRecord>::new(dir).entries()? {
+        let bound = |r: &ReuseRecord| {
+            r.key.hardware_digest == hardware_digest && r.key.config_hash == config_hash
+        };
+        match ReuseRecord::load(&path, OnCorrupt::Quarantine(telemetry), bound) {
+            Load::Hit(record) => {
+                session.insert_loaded(record.key, record.coarse, record.entry);
+                observed.loaded += 1;
             }
+            Load::Stale => {
+                observed.stale += 1;
+                session.stats.store_entries_stale += 1;
+            }
+            Load::Corrupt(_) => observed.quarantined += 1,
             // Racing loader/pruner; skip, never fail the run.
-            Err(StoreReadError::Io(_)) => continue,
-        };
-        let record = match parse_reuse_record(payload.text()) {
-            Ok(r) => r,
-            Err(reason) => {
-                geyser_store::quarantine_corrupt(
-                    &path,
-                    payload.text().as_bytes(),
-                    &reason,
-                    "reuse",
-                    telemetry,
-                );
-                observed.quarantined += 1;
-                continue;
-            }
-        };
-        let key = record.key().expect("validated by parse_reuse_record");
-        let entry = record.entry().expect("validated by parse_reuse_record");
-        if key.hardware_digest != session.hardware_digest()
-            || key.config_hash != session.config_hash()
-        {
-            observed.stale += 1;
-            session.stats.store_entries_stale += 1;
-            continue;
+            Load::Absent => {}
         }
-        session.insert_loaded(key, record.coarse_fingerprint(), entry);
-        observed.loaded += 1;
     }
     Ok(observed)
 }
 
-/// Writes every entry the session published this run to `dir` with
-/// atomic framed writes. Returns how many files were written.
+/// Publishes every entry the session published this run to `dir`.
+/// Returns how many files were written.
 pub fn save_reuse_dir(dir: &Path, session: &mut ReuseSession) -> std::io::Result<u64> {
+    let namespace = Namespace::<ReuseRecord>::new(dir);
     let mut saved = 0u64;
-    let dirty: Vec<_> = session.dirty().to_vec();
-    for (key, coarse) in dirty {
-        let entry = match session.get(&key) {
-            Some(e) => e.clone(),
-            None => continue,
+    for (key, coarse) in session.dirty().to_vec() {
+        let Some(entry) = session.get(&key) else {
+            continue;
         };
-        let record = ReuseRecord::from_entry(&key, coarse, &entry);
-        let json = serde_json::to_string_pretty(&record).expect("reuse record serializes");
-        write_record_atomic(&reuse_entry_path(dir, key.digest()), &json)?;
+        let record = ReuseRecord {
+            version: REUSE_VERSION,
+            key,
+            coarse,
+            entry: entry.clone(),
+        };
+        record.publish(&namespace.path(key.digest()))?;
         saved += 1;
     }
     session.stats.store_entries_saved += saved;
@@ -280,7 +124,9 @@ pub fn save_reuse_dir(dir: &Path, session: &mut ReuseSession) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::BlockFingerprint;
+    use crate::index::ReuseOutcome;
+    use geyser_store::{write_record, STORE_CORRUPT_COUNTER};
+    use std::path::PathBuf;
 
     fn fp(digest: u64) -> BlockFingerprint {
         BlockFingerprint::Canonical { dim: 8, digest }
@@ -384,8 +230,8 @@ mod tests {
     #[test]
     fn schema_garbage_is_quarantined() {
         let dir = tmpdir("schema");
-        let path = reuse_entry_path(&dir, 0xdead);
-        write_record_atomic(&path, "{\"version\": 999}").unwrap();
+        let path = Namespace::<ReuseRecord>::new(&dir).path(0xdead);
+        write_record(&path, &format!("{{\"version\": {REUSE_VERSION}}}")).unwrap();
         let mut reader = ReuseSession::new(11, 22);
         let obs = load_reuse_dir(&dir, &mut reader, &Telemetry::disabled()).unwrap();
         assert_eq!(obs.loaded, 0);
@@ -395,32 +241,54 @@ mod tests {
     }
 
     #[test]
-    fn record_parse_rejects_bad_labels() {
-        let mut record = ReuseRecord::from_entry(
-            &ReuseKey {
-                fingerprint: fp(5),
-                hardware_digest: 1,
-                config_hash: 2,
-            },
-            None,
-            &ReuseEntry {
-                outcome: ReuseOutcome::Composed,
-                params: vec![1.0],
-                layers: 1,
-                hsd: 0.0,
-                evaluations: 1,
-            },
-        );
-        let current = serde_json::to_string(&record).unwrap();
-        assert!(parse_reuse_record(&current).is_ok());
-        // Entries from the previous schema (composed by an older
-        // search) must never replay.
+    fn previous_version_records_are_stale_not_corrupt() {
+        let dir = tmpdir("version-skew");
+        let mut writer = sample_session();
+        save_reuse_dir(&dir, &mut writer).unwrap();
+        // Rewrite one entry as the previous build would have: same
+        // binding, previous schema version.
+        let path = Namespace::<ReuseRecord>::new(&dir).entries().unwrap()[0].clone();
+        let Load::Hit(mut record) = ReuseRecord::load(&path, OnCorrupt::Keep, |_| true) else {
+            panic!("freshly saved entry must load");
+        };
         record.version = REUSE_VERSION - 1;
-        let older = serde_json::to_string(&record).unwrap();
-        assert!(parse_reuse_record(&older).unwrap_err().contains("version"));
-        record.version = REUSE_VERSION;
-        record.outcome = "mystery".into();
-        let json = serde_json::to_string(&record).unwrap();
-        assert!(parse_reuse_record(&json).is_err());
+        write_record(&path, &serde_json::to_string_pretty(&record).unwrap()).unwrap();
+
+        let telemetry = Telemetry::enabled();
+        let mut reader = ReuseSession::new(11, 22);
+        let obs = load_reuse_dir(&dir, &mut reader, &telemetry).unwrap();
+        assert_eq!(obs.loaded, 1, "the current entry still loads");
+        assert_eq!(obs.stale, 1, "the previous-version entry is stale");
+        assert_eq!(obs.quarantined, 0);
+        assert_eq!(reader.stats.store_entries_stale, 1);
+        assert!(path.exists(), "stale entries are never quarantined");
+        assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_never_fail() {
+        let dir = tmpdir("same-key");
+        let start = std::sync::Barrier::new(2);
+        let errors: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (dir, start) = (&dir, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..500)
+                            .filter(|_| save_reuse_dir(dir, &mut sample_session()).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(errors, 0, "a shared key must never abort a save");
+        let mut reader = ReuseSession::new(11, 22);
+        let obs = load_reuse_dir(&dir, &mut reader, &Telemetry::disabled()).unwrap();
+        assert_eq!((obs.loaded, obs.quarantined), (2, 0));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "no temp left");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,40 +1,54 @@
-//! Crash-tolerant on-disk record framing shared by every persistent
-//! store (the bench compile cache, the supervisor's composition
-//! checkpoints and job journal, and the cross-job composition reuse
-//! store).
+//! The one persistence layer under every Geyser store: the bench
+//! compile cache, the supervisor's composition checkpoints and job
+//! journal, and the cross-job composition reuse store.
 //!
-//! Atomic temp-file + rename writes protect against a crash *between*
-//! writes, but say nothing about a file that was torn by a mid-write
-//! kill on a non-atomic filesystem, hit by a stray partial copy, or
-//! bit-flipped at rest. This module frames every record with an ASCII
-//! header carrying the payload length and an FNV-1a checksum:
+//! Every record is framed with an ASCII header carrying the payload
+//! length and an FNV-1a checksum:
 //!
 //! ```text
 //! GEYSREC1 <length:016x> <fnv1a:016x>\n<payload bytes>
 //! ```
 //!
-//! Loading verifies the frame before any JSON parsing happens, so a
-//! torn or corrupted file surfaces as a typed [`RecordError`] — never
-//! a panic, and never a silently replayed half-record. Corrupt files
-//! are **quarantined** in place: renamed to a
-//! `<name>.corrupt-<digest>` sidecar (the digest is the FNV-1a hash
-//! of the corrupt bytes, so repeated corruption of the same content
+//! On top of the frame the crate offers two storage shapes:
+//!
+//! * **Object namespaces** ([`namespace`]): a flat directory of framed
+//!   records, one file per key, each typed by a [`Schema`]. Records are
+//!   written with one [`Schema::publish`] (a temp file unique to the
+//!   writer, then an atomic rename), read with one [`Schema::load`]
+//!   (hit, stale, absent, or quarantined corruption), and reclaimed
+//!   with one prune ([`sweep_file`] / [`Namespace::prune`]). A
+//!   namespace that compacts ([`Generational`]) adds a generation
+//!   header and an advisory compaction lock.
+//! * **The append-only log** ([`log`]): concatenated frames appended
+//!   over time, recovered through a torn tail and compacted by an
+//!   atomic rewrite. The write-ahead job journal uses it.
+//!
+//! Corrupt files are **quarantined** in place: renamed to a
+//! `<name>.corrupt-<digest>` sidecar (the digest is the FNV-1a hash of
+//! the corrupt bytes, so repeated corruption of the same content
 //! dedupes), a structured warning is logged, and the
 //! `store_corrupt_total` telemetry counter is bumped so corruption is
-//! observable instead of degrading into an unexplained cache miss.
+//! observable instead of degrading into an unexplained miss.
 //!
-//! Files written before this framing existed (plain JSON, no header)
-//! decode as [`RecordPayload::Legacy`]; callers parse them as before
-//! so an upgrade never invalidates a healthy store, and the next
-//! write rewrites the file framed.
+//! This crate is the only code in the workspace that writes temp
+//! files, renames, decodes frames, quarantines or prunes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::Read;
+pub mod log;
+pub mod namespace;
+
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use geyser_telemetry::Telemetry;
+
+pub use log::{read_log, truncate_torn_tail, Log};
+pub use namespace::{
+    sweep_debris, sweep_file, CompactionOutcome, Found, GenerationHeader, Generational, Load,
+    Namespace, Schema, COMPACTION_LOCK_SUFFIX, GENERATION_SUFFIX, LOCK_STALE_MS,
+};
 
 /// Magic prefix of a framed record file.
 pub const RECORD_MAGIC: &str = "GEYSREC1";
@@ -43,15 +57,14 @@ pub const RECORD_MAGIC: &str = "GEYSREC1";
 /// (all store kinds combined; see [`store_corrupt_kind_counter`]).
 pub const STORE_CORRUPT_COUNTER: &str = "store_corrupt_total";
 
-/// Telemetry counter bumped once per stale `.tmp` file removed at
-/// store open (a write that was killed between temp-write and rename).
+/// Telemetry counter bumped once per dead temp file a prune reclaims
+/// (a write that was killed between temp-write and rename).
 pub const STORE_STALE_TMP_CLEANED_COUNTER: &str = "store_stale_tmp_cleaned_total";
 
 /// The per-kind companion of [`STORE_CORRUPT_COUNTER`]: corruption
 /// telemetry tagged by *which* store is rotting. The label is the
-/// same one passed to [`quarantine_corrupt`] /
-/// [`read_record_file_quarantining`]; unknown labels fold into
-/// `store_corrupt_total.other`.
+/// [`Schema::LABEL`] (or `journal` for the log); unknown labels fold
+/// into `store_corrupt_total.other`.
 pub fn store_corrupt_kind_counter(label: &str) -> &'static str {
     match label {
         "cache" => "store_corrupt_total.cache",
@@ -99,8 +112,8 @@ pub enum RecordError {
     },
     /// The header parses but the payload is not valid UTF-8.
     BadPayload,
-    /// The header itself is malformed (magic present but the length
-    /// or checksum fields are not hex) — a torn header.
+    /// The header itself is malformed: no magic, or the length or
+    /// checksum fields are not hex — a torn header or a foreign file.
     BadHeader,
 }
 
@@ -125,30 +138,6 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// A successfully decoded record file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordPayload {
-    /// A framed record whose length and checksum both verified.
-    Framed(String),
-    /// A pre-framing file (no magic): returned verbatim for the
-    /// caller to parse, preserving stores written by older versions.
-    Legacy(String),
-}
-
-impl RecordPayload {
-    /// The payload text regardless of framing.
-    pub fn text(&self) -> &str {
-        match self {
-            RecordPayload::Framed(s) | RecordPayload::Legacy(s) => s,
-        }
-    }
-
-    /// Whether the payload came from a verified frame.
-    pub fn is_framed(&self) -> bool {
-        matches!(self, RecordPayload::Framed(_))
-    }
-}
-
 /// Frames a payload for storage.
 pub fn encode_record(payload: &str) -> String {
     format!(
@@ -158,40 +147,32 @@ pub fn encode_record(payload: &str) -> String {
     )
 }
 
-/// Decodes a record file's bytes, verifying length and checksum.
-///
-/// Bytes that do not start with [`RECORD_MAGIC`] are treated as a
-/// legacy (pre-framing) file and returned verbatim when they are
-/// UTF-8; the caller decides whether they parse.
-pub fn decode_record(bytes: &[u8]) -> Result<RecordPayload, RecordError> {
-    if !bytes.starts_with(RECORD_MAGIC.as_bytes()) {
-        return match String::from_utf8(bytes.to_vec()) {
-            Ok(text) => Ok(RecordPayload::Legacy(text)),
-            Err(_) => Err(RecordError::BadPayload),
-        };
-    }
-    if bytes.len() < HEADER_LEN || bytes[HEADER_LEN - 1] != b'\n' {
+/// Parses the frame header at the start of `bytes`: the promised
+/// payload length and checksum. The one header parser, shared by the
+/// single-record and the log decoders.
+fn parse_header(bytes: &[u8]) -> Result<(usize, u64), RecordError> {
+    if bytes.len() < HEADER_LEN
+        || !bytes.starts_with(RECORD_MAGIC.as_bytes())
+        || bytes[HEADER_LEN - 1] != b'\n'
+    {
         return Err(RecordError::BadHeader);
     }
     let header =
         std::str::from_utf8(&bytes[..HEADER_LEN - 1]).map_err(|_| RecordError::BadHeader)?;
-    let mut fields = header.split(' ');
-    let _magic = fields.next();
-    let expected_len = fields
-        .next()
-        .and_then(|s| usize::from_str_radix(s, 16).ok())
-        .ok_or(RecordError::BadHeader)?;
-    let expected_sum = fields
-        .next()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or(RecordError::BadHeader)?;
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != expected_len {
-        return Err(RecordError::Torn {
-            expected: expected_len,
-            actual: payload.len(),
-        });
-    }
+    let mut fields = header
+        .split(' ')
+        .skip(1)
+        .map(|s| u64::from_str_radix(s, 16).ok());
+    let len = fields.next().flatten().ok_or(RecordError::BadHeader)?;
+    let sum = fields.next().flatten().ok_or(RecordError::BadHeader)?;
+    Ok((
+        usize::try_from(len).map_err(|_| RecordError::BadHeader)?,
+        sum,
+    ))
+}
+
+/// Verifies a payload against its header checksum and decodes it.
+fn verify_payload(payload: &[u8], expected_sum: u64) -> Result<String, RecordError> {
     let actual_sum = fnv1a_bytes(payload);
     if actual_sum != expected_sum {
         return Err(RecordError::ChecksumMismatch {
@@ -199,187 +180,21 @@ pub fn decode_record(bytes: &[u8]) -> Result<RecordPayload, RecordError> {
             actual: actual_sum,
         });
     }
-    String::from_utf8(payload.to_vec())
-        .map(RecordPayload::Framed)
-        .map_err(|_| RecordError::BadPayload)
+    String::from_utf8(payload.to_vec()).map_err(|_| RecordError::BadPayload)
 }
 
-/// A decoded segmented (multi-frame) record file: zero or more fully
-/// verified frames, plus an optional torn tail left by a crash
-/// mid-append.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentedPayloads {
-    /// Payloads of the frames that fully verified, in file order.
-    pub records: Vec<String>,
-    /// Byte length of the valid prefix (everything before the torn
-    /// tail). Truncating the file to this length recovers it.
-    pub valid_len: u64,
-    /// Bytes in the torn tail after the valid prefix; `0` when the
-    /// file ends exactly at a frame boundary.
-    pub torn_bytes: u64,
-}
-
-impl SegmentedPayloads {
-    /// Whether the file ended cleanly at a frame boundary.
-    pub fn is_clean(&self) -> bool {
-        self.torn_bytes == 0
+/// Decodes a single-record file's bytes, verifying length and
+/// checksum. Anything that is not exactly one whole frame is an error.
+pub fn decode_record(bytes: &[u8]) -> Result<String, RecordError> {
+    let (expected_len, expected_sum) = parse_header(bytes)?;
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() != expected_len {
+        return Err(RecordError::Torn {
+            expected: expected_len,
+            actual: payload.len(),
+        });
     }
-}
-
-/// Decodes a segmented record file: concatenated `GEYSREC1` frames
-/// appended over time (the write-ahead journal format).
-///
-/// A crash mid-append can only leave a *prefix* of a valid frame at
-/// the end of the file — a partial header or a short payload. That is
-/// recovered, not refused: the complete frames are returned and the
-/// partial tail is reported in [`SegmentedPayloads::torn_bytes`] so
-/// the caller can truncate it. Anything else — a checksum mismatch, a
-/// malformed complete header, non-frame bytes at a frame boundary —
-/// is *corruption* (bit rot, tampering, a foreign file) and surfaces
-/// as a typed [`RecordError`] for the whole file.
-pub fn decode_segmented(bytes: &[u8]) -> Result<SegmentedPayloads, RecordError> {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let remaining = &bytes[offset..];
-        if remaining.len() < HEADER_LEN {
-            // Too short to hold a header: a torn tail iff it is a
-            // prefix of a frame start (the magic); otherwise garbage.
-            let probe = remaining.len().min(RECORD_MAGIC.len());
-            if remaining[..probe] == RECORD_MAGIC.as_bytes()[..probe] {
-                return Ok(SegmentedPayloads {
-                    records,
-                    valid_len: offset as u64,
-                    torn_bytes: remaining.len() as u64,
-                });
-            }
-            return Err(RecordError::BadHeader);
-        }
-        if !remaining.starts_with(RECORD_MAGIC.as_bytes()) {
-            return Err(RecordError::BadHeader);
-        }
-        if remaining[HEADER_LEN - 1] != b'\n' {
-            return Err(RecordError::BadHeader);
-        }
-        let header = std::str::from_utf8(&remaining[..HEADER_LEN - 1])
-            .map_err(|_| RecordError::BadHeader)?;
-        let mut fields = header.split(' ');
-        let _magic = fields.next();
-        let expected_len = fields
-            .next()
-            .and_then(|s| usize::from_str_radix(s, 16).ok())
-            .ok_or(RecordError::BadHeader)?;
-        let expected_sum = fields
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or(RecordError::BadHeader)?;
-        let body_start = HEADER_LEN;
-        if remaining.len() - body_start < expected_len {
-            // Header complete, payload short: the classic mid-append
-            // crash. Everything before this frame is good.
-            return Ok(SegmentedPayloads {
-                records,
-                valid_len: offset as u64,
-                torn_bytes: remaining.len() as u64,
-            });
-        }
-        let payload = &remaining[body_start..body_start + expected_len];
-        let actual_sum = fnv1a_bytes(payload);
-        if actual_sum != expected_sum {
-            return Err(RecordError::ChecksumMismatch {
-                expected: expected_sum,
-                actual: actual_sum,
-            });
-        }
-        let text = String::from_utf8(payload.to_vec()).map_err(|_| RecordError::BadPayload)?;
-        records.push(text);
-        offset += body_start + expected_len;
-    }
-    Ok(SegmentedPayloads {
-        records,
-        valid_len: offset as u64,
-        torn_bytes: 0,
-    })
-}
-
-/// Appends one framed record to a segmented file, creating it (and
-/// its parent directories) on first use. The caller is responsible
-/// for having truncated any torn tail first (see
-/// [`truncate_torn_tail`]) — appending after a partial frame would
-/// bury it mid-file where it reads as corruption instead of a
-/// recoverable tail.
-pub fn append_record(path: &Path, payload: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    file.write_all(encode_record(payload).as_bytes())
-}
-
-/// Reads and decodes a segmented record file without quarantining.
-/// Missing files are [`StoreReadError::Io`]; mid-file corruption is
-/// [`StoreReadError::Corrupt`]; a torn tail is *not* an error — it is
-/// reported in the returned [`SegmentedPayloads`].
-pub fn read_segmented_file(path: &Path) -> Result<SegmentedPayloads, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    decode_segmented(&bytes).map_err(|e| {
-        StoreReadError::Corrupt(StoreCorruption {
-            path: path.to_path_buf(),
-            digest: fnv1a_bytes(&bytes),
-            reason: e.to_string(),
-            quarantined: None,
-        })
-    })
-}
-
-/// Truncates a segmented file's torn tail in place, returning the
-/// bytes reclaimed (0 when the file was already clean). Mid-file
-/// corruption is returned as [`StoreReadError::Corrupt`] untouched —
-/// truncation only ever removes a partial final frame.
-pub fn truncate_torn_tail(path: &Path) -> Result<u64, StoreReadError> {
-    let decoded = read_segmented_file(path)?;
-    if decoded.torn_bytes > 0 {
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .and_then(|f| f.set_len(decoded.valid_len))
-            .map_err(StoreReadError::Io)?;
-    }
-    Ok(decoded.torn_bytes)
-}
-
-/// Removes stale `*.tmp` files directly under `dir` — writes that
-/// were killed between temp-write and rename. Bumps
-/// [`STORE_STALE_TMP_CLEANED_COUNTER`] per file removed. A missing or
-/// unreadable directory cleans nothing; stores call this at open so
-/// crash litter never accumulates.
-pub fn clean_stale_tmp(dir: &Path, telemetry: &Telemetry) -> usize {
-    let mut cleaned = 0usize;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let is_tmp = path
-                .extension()
-                .map(|e| e.to_string_lossy() == "tmp")
-                .unwrap_or(false);
-            if is_tmp && path.is_file() && std::fs::remove_file(&path).is_ok() {
-                cleaned += 1;
-            }
-        }
-    }
-    if cleaned > 0 {
-        telemetry.counter_add(STORE_STALE_TMP_CLEANED_COUNTER, cleaned as u64);
-    }
-    cleaned
+    verify_payload(payload, expected_sum)
 }
 
 /// Why a record file could not be loaded.
@@ -413,8 +228,21 @@ pub struct StoreCorruption {
     /// What exactly was wrong (torn, checksum, unparseable, ...).
     pub reason: String,
     /// The `<name>.corrupt-<digest>` sidecar the file was renamed to,
-    /// or `None` when quarantine was skipped or the rename failed.
+    /// or `None` when quarantine was not asked for or the rename failed.
     pub quarantined: Option<PathBuf>,
+}
+
+impl StoreCorruption {
+    /// A corruption report for `bytes` read from `path`, not (yet)
+    /// quarantined.
+    pub fn new(path: &Path, bytes: &[u8], reason: impl Into<String>) -> Self {
+        StoreCorruption {
+            path: path.to_path_buf(),
+            digest: fnv1a_bytes(bytes),
+            reason: reason.into(),
+            quarantined: None,
+        }
+    }
 }
 
 impl std::fmt::Display for StoreCorruption {
@@ -430,6 +258,36 @@ impl std::fmt::Display for StoreCorruption {
             Some(q) => write!(f, " quarantined={}", q.display()),
             None => write!(f, " quarantined=no"),
         }
+    }
+}
+
+/// What a read does with a corrupt file.
+#[derive(Debug, Clone, Copy)]
+pub enum OnCorrupt<'a> {
+    /// Leave it in place: scanners (the chaos store audit, the cache
+    /// coherence audit) observe corruption without healing it.
+    Keep,
+    /// Move it to a `.corrupt-<digest>` sidecar, warn, and count it on
+    /// this telemetry handle, so the next write starts clean.
+    Quarantine(&'a Telemetry),
+}
+
+impl OnCorrupt<'_> {
+    /// Applies the policy to a corruption report, tagging the warning
+    /// and counter with the store `label`. Quarantine never fails the
+    /// caller: a failed rename (e.g. a read-only filesystem) leaves the
+    /// file in place, and the returned report says so.
+    pub fn apply(self, mut corruption: StoreCorruption, label: &str) -> StoreCorruption {
+        if let OnCorrupt::Quarantine(telemetry) = self {
+            let sidecar = corrupt_sidecar_path(&corruption.path, corruption.digest);
+            corruption.quarantined = std::fs::rename(&corruption.path, &sidecar)
+                .is_ok()
+                .then_some(sidecar);
+            telemetry.counter_add(STORE_CORRUPT_COUNTER, 1);
+            telemetry.counter_add(store_corrupt_kind_counter(label), 1);
+            eprintln!("warning: {label} {corruption}");
+        }
+        corruption
     }
 }
 
@@ -450,94 +308,94 @@ pub fn is_corrupt_sidecar(path: &Path) -> bool {
         .unwrap_or(false)
 }
 
-/// Quarantines a corrupt store file: renames it to its
-/// [`corrupt_sidecar_path`], logs a structured warning naming the
-/// path and digest, and bumps [`STORE_CORRUPT_COUNTER`]. Returns the
-/// typed corruption record; the original path no longer exists on
-/// success, so the next write starts clean.
-///
-/// Quarantine must never fail the caller: a failed rename (e.g. a
-/// read-only filesystem) leaves the file in place and is reported in
-/// the returned record.
-pub fn quarantine_corrupt(
-    path: &Path,
-    bytes: &[u8],
-    reason: &str,
-    label: &str,
-    telemetry: &Telemetry,
-) -> StoreCorruption {
-    let digest = fnv1a_bytes(bytes);
-    let sidecar = corrupt_sidecar_path(path, digest);
-    let quarantined = std::fs::rename(path, &sidecar).is_ok().then_some(sidecar);
-    telemetry.counter_add(STORE_CORRUPT_COUNTER, 1);
-    telemetry.counter_add(store_corrupt_kind_counter(label), 1);
-    let corruption = StoreCorruption {
-        path: path.to_path_buf(),
-        digest,
-        reason: reason.to_string(),
-        quarantined,
-    };
-    eprintln!("warning: {label} {corruption}");
-    corruption
+/// Whether a file name marks a temp file (a write staged but, if still
+/// present after its writer is gone, never committed).
+pub fn is_tmp(path: &Path) -> bool {
+    path.extension().map(|e| e == "tmp").unwrap_or(false)
 }
 
-/// Writes a framed record crash-safely: encode, write `<path>.tmp`,
-/// atomically rename over `path`. A kill mid-write leaves the
-/// previous record intact; a kill between write and rename leaves a
-/// stray `.tmp` the next write overwrites.
-pub fn write_record_atomic(path: &Path, payload: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
+/// Process-wide sequence behind [`write_atomic`]'s temp names. It
+/// publishes no other data, so `Relaxed` suffices: `fetch_add` alone
+/// makes every value unique.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A temp sibling of `path` no other writer uses:
+/// `<file-name>.<pid>-<seq>.tmp`.
+fn unique_tmp(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_file_name(format!("{name}.{}-{seq}.tmp", std::process::id()))
+}
+
+/// Creates the directory `path` lives in, if it has one.
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+}
+
+/// Writes `bytes` to `tmp` and, when `commit`, renames it over `path`.
+/// Returns whether the rename happened. A failed write or rename
+/// removes the temp file, so errors leave no debris.
+fn stage(path: &Path, tmp: &Path, bytes: &[u8], commit: bool) -> std::io::Result<bool> {
+    create_parent(path)?;
+    let written = std::fs::write(tmp, bytes).and_then(|()| {
+        if commit {
+            std::fs::rename(tmp, path)
+        } else {
+            Ok(())
         }
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(tmp);
+        return Err(e);
     }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, encode_record(payload))?;
-    std::fs::rename(&tmp, path)
+    Ok(commit)
 }
 
-/// Reads and decodes a record file **without** quarantining — for
-/// scanners (`repair`, the chaos store audit) that must observe
-/// corruption in place.
-pub fn read_record_file(path: &Path) -> Result<RecordPayload, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    decode_record(&bytes).map_err(|e| {
-        StoreReadError::Corrupt(StoreCorruption {
-            path: path.to_path_buf(),
-            digest: fnv1a_bytes(&bytes),
-            reason: e.to_string(),
-            quarantined: None,
-        })
-    })
+/// Writes a file crash-safely: `bytes` go to a temp sibling unique to
+/// this writer (pid plus a process-wide counter), which is then
+/// atomically renamed over `path`. A kill mid-write leaves the
+/// previous file intact; two writers publishing the same path at once
+/// each rename their own whole file, and the last rename wins.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    stage(path, &unique_tmp(path), bytes, true).map(|_| ())
 }
 
-/// Reads and decodes a record file, quarantining it on frame
-/// corruption. `label` names the store kind in the warning line
-/// (`cache` / `checkpoint`). Frame-valid payloads that later fail
-/// JSON parsing should be handed back to [`quarantine_corrupt`] by
-/// the caller — only the caller knows the schema.
-pub fn read_record_file_quarantining(
+/// Frames `payload` and writes it with [`write_atomic`].
+pub fn write_record(path: &Path, payload: &str) -> std::io::Result<()> {
+    stage_record(path, payload, true).map(|_| ())
+}
+
+/// Frames `payload` into a unique temp sibling of `path` and, when
+/// `commit`, renames it into place (see [`stage`]).
+fn stage_record(path: &Path, payload: &str, commit: bool) -> std::io::Result<bool> {
+    stage(
+        path,
+        &unique_tmp(path),
+        encode_record(payload).as_bytes(),
+        commit,
+    )
+}
+
+/// Reads and decodes a single-record file. A missing file is
+/// [`StoreReadError::Io`]; a bad frame is [`StoreReadError::Corrupt`],
+/// quarantined under `label` or left in place as `on_corrupt` says.
+pub fn read_record(
     path: &Path,
     label: &str,
-    telemetry: &Telemetry,
-) -> Result<RecordPayload, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    match decode_record(&bytes) {
-        Ok(payload) => Ok(payload),
-        Err(e) => Err(StoreReadError::Corrupt(quarantine_corrupt(
-            path,
-            &bytes,
-            &e.to_string(),
-            label,
-            telemetry,
-        ))),
-    }
+    on_corrupt: OnCorrupt<'_>,
+) -> Result<String, StoreReadError> {
+    let bytes = std::fs::read(path).map_err(StoreReadError::Io)?;
+    decode_record(&bytes).map_err(|e| {
+        StoreReadError::Corrupt(
+            on_corrupt.apply(StoreCorruption::new(path, &bytes, e.to_string()), label),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -556,10 +414,7 @@ mod tests {
         let body = r#"{"answer": 42}"#;
         let framed = encode_record(body);
         assert!(framed.starts_with(RECORD_MAGIC));
-        assert_eq!(
-            decode_record(framed.as_bytes()).unwrap(),
-            RecordPayload::Framed(body.to_string())
-        );
+        assert_eq!(decode_record(framed.as_bytes()).unwrap(), body);
     }
 
     #[test]
@@ -582,20 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn truncation_inside_the_header_is_bad_header() {
+    fn truncated_headers_and_unframed_files_are_bad_headers() {
         let framed = encode_record("payload");
-        assert_eq!(
-            decode_record(&framed.as_bytes()[..HEADER_LEN - 5]),
-            Err(RecordError::BadHeader)
-        );
+        for bytes in [&framed.as_bytes()[..HEADER_LEN - 5], br#"{"version": 3}"#] {
+            assert_eq!(decode_record(bytes), Err(RecordError::BadHeader));
+        }
     }
 
     #[test]
     fn bit_flip_is_a_checksum_mismatch() {
-        let framed = encode_record(r#"{"blocks": [1, 2, 3]}"#);
-        let mut bytes = framed.into_bytes();
-        let flip_at = HEADER_LEN + 5;
-        bytes[flip_at] ^= 0x01;
+        let mut bytes = encode_record(r#"{"blocks": [1, 2, 3]}"#).into_bytes();
+        bytes[HEADER_LEN + 5] ^= 0x01;
         assert!(matches!(
             decode_record(&bytes),
             Err(RecordError::ChecksumMismatch { .. })
@@ -604,8 +456,7 @@ mod tests {
 
     #[test]
     fn appended_garbage_is_torn_not_silently_accepted() {
-        let mut framed = encode_record("payload");
-        framed.push_str("tail");
+        let framed = encode_record("payload") + "tail";
         assert!(matches!(
             decode_record(framed.as_bytes()),
             Err(RecordError::Torn { .. })
@@ -613,217 +464,79 @@ mod tests {
     }
 
     #[test]
-    fn unframed_files_pass_through_as_legacy() {
-        let decoded = decode_record(br#"{"version": 3}"#).unwrap();
-        assert!(!decoded.is_framed());
-        assert_eq!(decoded.text(), r#"{"version": 3}"#);
-    }
-
-    #[test]
     fn write_and_read_roundtrip_through_disk() {
         let path = temp_path("roundtrip");
-        write_record_atomic(&path, "body").unwrap();
-        assert!(!path.with_extension("json.tmp").exists());
-        let back = read_record_file(&path).unwrap();
-        assert_eq!(back, RecordPayload::Framed("body".to_string()));
+        assert!(matches!(
+            read_record(&path, "test", OnCorrupt::Keep),
+            Err(StoreReadError::Io(_))
+        ));
+        write_record(&path, "body").unwrap();
+        assert_eq!(read_record(&path, "test", OnCorrupt::Keep).unwrap(), "body");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn missing_file_is_io_not_corrupt() {
-        assert!(matches!(
-            read_record_file(&temp_path("never-written")),
-            Err(StoreReadError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn quarantine_renames_warns_and_counts() {
-        let path = temp_path("quarantine");
-        std::fs::write(&path, "garbage").unwrap();
-        let telemetry = Telemetry::enabled();
-        let corruption = quarantine_corrupt(&path, b"garbage", "torn", "test", &telemetry);
-        assert!(!path.exists(), "corrupt file must be renamed away");
-        let sidecar = corruption.quarantined.expect("rename succeeds");
-        assert!(sidecar.exists());
-        assert!(sidecar
+    fn temp_names_are_unique_per_writer() {
+        let path = Path::new("/tmp/entry.json");
+        let (a, b) = (unique_tmp(path), unique_tmp(path));
+        assert_ne!(a, b);
+        assert!(is_tmp(&a) && is_tmp(&b));
+        let prefix = format!("entry.json.{}-", std::process::id());
+        assert!(a
             .file_name()
             .unwrap()
             .to_string_lossy()
-            .contains(".corrupt-"));
-        assert_eq!(corruption.digest, fnv1a_bytes(b"garbage"));
+            .starts_with(&prefix));
+    }
+
+    #[test]
+    fn quarantine_renames_warns_and_counts_by_kind() {
+        let path = temp_path("quarantine");
+        std::fs::write(&path, "garbage").unwrap();
+        let telemetry = Telemetry::enabled();
+        let corruption = StoreCorruption::new(&path, b"garbage", "torn");
+        let corruption = OnCorrupt::Quarantine(&telemetry).apply(corruption, "journal");
+        assert!(!path.exists(), "corrupt file must be renamed away");
+        let sidecar = corruption.quarantined.expect("rename succeeds");
+        assert_eq!(
+            sidecar,
+            corrupt_sidecar_path(&path, fnv1a_bytes(b"garbage"))
+        );
+        assert!(sidecar.exists() && is_corrupt_sidecar(&sidecar));
+        assert!(!is_corrupt_sidecar(&path));
         assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
+        let journal = store_corrupt_kind_counter("journal");
+        assert_eq!(telemetry.counter_value(journal), Some(1));
+        let cache = store_corrupt_kind_counter("cache");
+        assert_eq!(telemetry.counter_value(cache), None);
         let _ = std::fs::remove_file(&sidecar);
     }
 
     #[test]
-    fn quarantining_reader_files_torn_records_as_sidecars() {
-        let path = temp_path("reader-quarantine");
-        write_record_atomic(&path, &"y".repeat(64)).unwrap();
-        let body = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
-        let telemetry = Telemetry::enabled();
-        let err = read_record_file_quarantining(&path, "test", &telemetry).unwrap_err();
-        let StoreReadError::Corrupt(c) = err else {
-            panic!("torn file must be Corrupt");
-        };
-        assert!(!path.exists());
-        assert!(c.reason.contains("torn"));
-        assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
-        let _ = std::fs::remove_file(c.quarantined.unwrap());
-    }
-
-    #[test]
-    fn segmented_roundtrip_and_clean_tail() {
-        let path = temp_path("segmented-roundtrip");
+    fn same_key_publishers_never_collide() {
+        // Two writers publishing one key at once: each stages its own
+        // temp file, so no rename ever loses its source.
+        let path = temp_path("same-key-race");
+        let start = std::sync::Barrier::new(2);
+        let errors: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (path, start) = (&path, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..2_000)
+                            .filter(|i| {
+                                write_record(path, &format!("writer {w} round {i}")).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(errors, 0, "every publish of a shared key must land");
+        let last = read_record(&path, "test", OnCorrupt::Keep).unwrap();
+        assert!(last.starts_with("writer "));
         let _ = std::fs::remove_file(&path);
-        append_record(&path, "one").unwrap();
-        append_record(&path, "two").unwrap();
-        append_record(&path, "three").unwrap();
-        let decoded = read_segmented_file(&path).unwrap();
-        assert_eq!(decoded.records, vec!["one", "two", "three"]);
-        assert!(decoded.is_clean());
-        assert_eq!(truncate_torn_tail(&path).unwrap(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn segmented_truncation_at_every_offset_recovers_a_prefix() {
-        let mut file = Vec::new();
-        let frames = ["alpha", "braavo", r#"{"c": 3}"#];
-        for payload in frames {
-            file.extend_from_slice(encode_record(payload).as_bytes());
-        }
-        for keep in 0..file.len() {
-            let decoded = decode_segmented(&file[..keep])
-                .unwrap_or_else(|e| panic!("truncation to {keep} bytes must recover, got {e}"));
-            // The recovered records are a strict prefix of the
-            // originals — never a reordered or partial frame.
-            for (i, rec) in decoded.records.iter().enumerate() {
-                assert_eq!(rec, frames[i], "prefix property broken at keep={keep}");
-            }
-            assert_eq!(
-                decoded.valid_len + decoded.torn_bytes,
-                keep as u64,
-                "every byte accounted for at keep={keep}"
-            );
-        }
-        assert!(decode_segmented(&file).unwrap().is_clean());
-    }
-
-    #[test]
-    fn segmented_bit_flip_is_typed_corruption_never_silent() {
-        let mut file = Vec::new();
-        for payload in ["first-frame", "second-frame"] {
-            file.extend_from_slice(encode_record(payload).as_bytes());
-        }
-        let reference = decode_segmented(&file).unwrap();
-        for at in 0..file.len() {
-            let mut copy = file.clone();
-            copy[at] ^= 0x01;
-            // A flip can turn a length field into a larger value,
-            // which reads as a torn (short) final frame — that is
-            // a clean truncation, never a replay of altered bytes.
-            if let Ok(decoded) = decode_segmented(&copy) {
-                for (i, rec) in decoded.records.iter().enumerate() {
-                    assert_eq!(
-                        rec, &reference.records[i],
-                        "flip at {at} silently altered a decoded record"
-                    );
-                }
-                assert!(
-                    decoded.torn_bytes > 0 || decoded.records.len() < 2,
-                    "flip at {at} decoded clean with all frames intact"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_in_place() {
-        let path = temp_path("torn-tail");
-        let _ = std::fs::remove_file(&path);
-        append_record(&path, "kept").unwrap();
-        append_record(&path, "torn-away").unwrap();
-        let body = std::fs::read(&path).unwrap();
-        let cut = body.len() - 4;
-        std::fs::write(&path, &body[..cut]).unwrap();
-        let reclaimed = truncate_torn_tail(&path).unwrap();
-        assert!(reclaimed > 0);
-        let decoded = read_segmented_file(&path).unwrap();
-        assert_eq!(decoded.records, vec!["kept"]);
-        assert!(decoded.is_clean());
-        // The file is appendable again after recovery.
-        append_record(&path, "resumed").unwrap();
-        assert_eq!(
-            read_segmented_file(&path).unwrap().records,
-            vec!["kept", "resumed"]
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mid_file_corruption_refuses_the_segmented_file() {
-        let mut file = Vec::new();
-        file.extend_from_slice(encode_record("good").as_bytes());
-        file.extend_from_slice(b"not a frame at a boundary");
-        assert!(matches!(
-            decode_segmented(&file),
-            Err(RecordError::BadHeader)
-        ));
-    }
-
-    #[test]
-    fn quarantine_tags_the_store_kind() {
-        let path = temp_path("kind-tag");
-        std::fs::write(&path, "garbage").unwrap();
-        let telemetry = Telemetry::enabled();
-        quarantine_corrupt(&path, b"garbage", "torn", "journal", &telemetry);
-        assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
-        assert_eq!(
-            telemetry.counter_value(store_corrupt_kind_counter("journal")),
-            Some(1)
-        );
-        assert_eq!(
-            telemetry.counter_value(store_corrupt_kind_counter("cache")),
-            None
-        );
-        let _ = std::fs::remove_file(corrupt_sidecar_path(&path, fnv1a_bytes(b"garbage")));
-    }
-
-    #[test]
-    fn stale_tmp_files_are_cleaned_and_counted() {
-        let dir =
-            std::env::temp_dir().join(format!("geyser-store-tmpclean-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("entry.json"), "keep").unwrap();
-        std::fs::write(dir.join("entry.json.tmp"), "stale").unwrap();
-        std::fs::write(dir.join("other.tmp"), "stale").unwrap();
-        let telemetry = Telemetry::enabled();
-        assert_eq!(clean_stale_tmp(&dir, &telemetry), 2);
-        assert!(dir.join("entry.json").exists());
-        assert!(!dir.join("entry.json.tmp").exists());
-        assert_eq!(
-            telemetry.counter_value(STORE_STALE_TMP_CLEANED_COUNTER),
-            Some(2)
-        );
-        // A second sweep is a no-op and does not bump the counter.
-        assert_eq!(clean_stale_tmp(&dir, &telemetry), 0);
-        assert_eq!(
-            telemetry.counter_value(STORE_STALE_TMP_CLEANED_COUNTER),
-            Some(2)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sidecar_names_are_recognized() {
-        let sidecar = corrupt_sidecar_path(Path::new("/tmp/entry.json"), 0xabcd);
-        assert!(is_corrupt_sidecar(&sidecar));
-        assert!(!is_corrupt_sidecar(Path::new("/tmp/entry.json")));
-        assert!(sidecar
-            .to_string_lossy()
-            .ends_with(".corrupt-000000000000abcd"));
     }
 }

@@ -1,28 +1,32 @@
-//! Crash-safe checkpointing of per-block composition results.
+//! Crash-safe checkpointing of per-block composition results: the
+//! `checkpoint` namespace of `geyser-store`.
 //!
 //! Composition dominates compile time, and its per-block results are
 //! independent (each block derives its seed from `(config.seed,
 //! block index)`), so they are the natural checkpoint grain: every
-//! freshly composed block is appended to a JSON checkpoint written
-//! with the classic temp-file + atomic-rename dance. A run killed at
-//! any instant leaves either the previous complete checkpoint or the
-//! new complete checkpoint on disk — never a torn file — and a
-//! `--resume` run restores the recorded blocks verbatim, finishing
-//! bit-identical to an uninterrupted run.
+//! freshly composed block is appended to a checkpoint record that is
+//! republished with the store's temp-file + atomic-rename write. A run
+//! killed at any instant leaves either the previous complete
+//! checkpoint or the new complete checkpoint on disk — never a torn
+//! file — and a `--resume` run restores the recorded blocks verbatim,
+//! finishing bit-identical to an uninterrupted run.
 //!
 //! A checkpoint is bound to its run by a fingerprint of the blocked
-//! circuit's source and the composition seed; a stale or corrupt file
-//! is detected at load time and the run starts fresh.
+//! circuit's source, the composition seed, the block count, the
+//! composition-config hash and the hardware digest. One bound to
+//! another run, or written under another format version, loads as
+//! stale and the run starts fresh; a corrupt one is quarantined.
+//!
+//! Checkpoints stay apart from the reuse namespace by design: they
+//! restore block circuits, fallbacks included, by block index so that
+//! a resumed run is bit-identical, while reuse replays ansatz
+//! parameters by fingerprint behind the ε re-verification gate.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use geyser::store::{
-    fnv1a_bytes, quarantine_corrupt, read_record_file, read_record_file_quarantining,
-    write_record_atomic, StoreReadError,
-};
-use geyser::{CancelToken, Telemetry};
+use geyser::store::{fnv1a_bytes, Schema};
+use geyser::CancelToken;
 use geyser_circuit::Circuit;
 use geyser_compose::{BlockObserver, BlockOutcome, CompositionResult, FallbackReason};
 use serde::{Deserialize, Serialize};
@@ -30,85 +34,18 @@ use serde::{Deserialize, Serialize};
 /// On-disk format version; bumped on incompatible layout changes.
 /// v2 added the composition-config hash to the run binding; v3 added
 /// the hardware-spec digest, so checkpoints written under one hardware
-/// scenario can never resume a run compiling for another (pre-v3
-/// files also fail deserialization — the field is required — and are
-/// treated as absent, never silently replayed); v4 marks block results
-/// composed by the exact-gradient ansatz kernel, so a run never
-/// resumes from blocks the finite-difference search composed.
-const CHECKPOINT_VERSION: u64 = 4;
+/// scenario can never resume a run compiling for another; v4 marks
+/// block results composed by the exact-gradient ansatz kernel, so a
+/// run never resumes from blocks the finite-difference search
+/// composed; v5 stores each block's `CompositionResult` as derived
+/// JSON instead of a hand-flattened mirror.
+const CHECKPOINT_VERSION: u64 = 5;
 
-/// One checkpointed block result — a serializable mirror of
-/// [`CompositionResult`] (the vendored serde derive has no attribute
-/// support, so enums are flattened into a `kind` + optional fields,
-/// the same idiom the bench cache uses).
+/// One checkpointed block result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct CheckpointBlock {
+struct CheckpointBlock {
     index: usize,
-    circuit: Circuit,
-    hsd: f64,
-    composed: bool,
-    layers: usize,
-    /// `composed`, `fell-back`, or `failed`.
-    outcome_kind: String,
-    outcome_layers: usize,
-    outcome_hsd: f64,
-    /// [`FallbackReason::label`] when `outcome_kind == "fell-back"`.
-    outcome_reason: Option<String>,
-    /// Panic payload when `outcome_kind == "failed"`.
-    outcome_detail: Option<String>,
-}
-
-impl CheckpointBlock {
-    fn from_result(index: usize, res: &CompositionResult) -> Option<Self> {
-        let (kind, layers, hsd, reason, detail) = match &res.outcome {
-            BlockOutcome::Composed { layers, hsd } => ("composed", *layers, *hsd, None, None),
-            BlockOutcome::FellBack { reason } => {
-                ("fell-back", 0, 0.0, Some(reason.label().to_string()), None)
-            }
-            // Failed and Skipped blocks are not checkpointed: a resume
-            // should retry a panicked block, and skipped blocks carry
-            // no result at all.
-            BlockOutcome::Failed { .. } | BlockOutcome::Skipped => return None,
-        };
-        Some(CheckpointBlock {
-            index,
-            circuit: res.circuit.clone(),
-            hsd: res.hsd,
-            composed: res.composed,
-            layers: res.layers,
-            outcome_kind: kind.to_string(),
-            outcome_layers: layers,
-            outcome_hsd: hsd,
-            outcome_reason: reason,
-            outcome_detail: detail,
-        })
-    }
-
-    fn to_result(&self) -> Option<(usize, CompositionResult)> {
-        let outcome = match self.outcome_kind.as_str() {
-            "composed" => BlockOutcome::Composed {
-                layers: self.outcome_layers,
-                hsd: self.outcome_hsd,
-            },
-            "fell-back" => BlockOutcome::FellBack {
-                reason: FallbackReason::from_label(self.outcome_reason.as_deref()?)?,
-            },
-            "failed" => BlockOutcome::Failed {
-                detail: self.outcome_detail.clone()?,
-            },
-            _ => return None,
-        };
-        Some((
-            self.index,
-            CompositionResult {
-                circuit: self.circuit.clone(),
-                hsd: self.hsd,
-                composed: self.composed,
-                layers: self.layers,
-                outcome,
-            },
-        ))
-    }
+    result: CompositionResult,
 }
 
 /// A composition checkpoint: completed block results bound to one
@@ -153,26 +90,18 @@ impl Checkpoint {
         self.blocks.len()
     }
 
-    /// Whether this checkpoint belongs to the `(fingerprint, seed,
-    /// num_blocks, config_hash, hardware_digest)` run — resuming
-    /// someone else's checkpoint, one composed under different search
-    /// parameters (a different ε, layer cap, or annealing budget), or
-    /// one compiled for different hardware would silently splice wrong
-    /// or differently-converged circuits in.
-    pub fn matches(
-        &self,
-        fingerprint: u64,
-        seed: u64,
-        num_blocks: usize,
-        config_hash: u64,
-        hardware_digest: u64,
-    ) -> bool {
-        self.version == CHECKPOINT_VERSION
-            && self.fingerprint == fingerprint
-            && self.seed == seed
-            && self.num_blocks == num_blocks
-            && self.config_hash == config_hash
-            && self.hardware_digest == hardware_digest
+    /// Whether this checkpoint belongs to the same `(fingerprint,
+    /// seed, num_blocks, config_hash, hardware_digest)` run as `run` —
+    /// resuming someone else's checkpoint, one composed under
+    /// different search parameters (a different ε, layer cap, or
+    /// annealing budget), or one compiled for different hardware would
+    /// silently splice wrong or differently-converged circuits in.
+    pub fn matches(&self, run: &Checkpoint) -> bool {
+        self.fingerprint == run.fingerprint
+            && self.seed == run.seed
+            && self.num_blocks == run.num_blocks
+            && self.config_hash == run.config_hash
+            && self.hardware_digest == run.hardware_digest
     }
 
     /// Expands the recorded blocks into the `prior` slice shape that
@@ -180,119 +109,24 @@ impl Checkpoint {
     pub fn to_prior(&self) -> Vec<Option<CompositionResult>> {
         let mut prior = vec![None; self.num_blocks];
         for block in &self.blocks {
-            if let Some((index, result)) = block.to_result() {
-                if index < prior.len() {
-                    prior[index] = Some(result);
-                }
+            if let Some(slot) = prior.get_mut(block.index) {
+                *slot = Some(block.result.clone());
             }
         }
         prior
     }
 }
 
-/// Why a checkpoint could not be loaded.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The file could not be read (missing counts here too).
-    Io(std::io::Error),
-    /// The file was read but is not a valid checkpoint — torn by a
-    /// crash, checksum-corrupted, injected corruption, or version
-    /// skew.
-    Corrupt {
-        /// FNV-1a digest of the corrupt bytes (matches the quarantine
-        /// sidecar suffix).
-        digest: u64,
-        /// What exactly was wrong (torn, checksum mismatch, JSON does
-        /// not parse, ...).
-        reason: String,
-    },
+impl Schema for Checkpoint {
+    const LABEL: &'static str = "checkpoint";
+    const PREFIX: &'static str = "ckpt-";
+    const VERSION: u64 = CHECKPOINT_VERSION;
 }
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint unreadable: {e}"),
-            CheckpointError::Corrupt { digest, reason } => {
-                write!(f, "checkpoint corrupt (digest {digest:016x}): {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// FNV-1a fingerprint of a circuit's debug form — the same scheme the
 /// bench cache uses to bind artifacts to their exact input.
 pub fn checkpoint_fingerprint(circuit: &Circuit) -> u64 {
     fnv1a_bytes(format!("{circuit:?}").as_bytes())
-}
-
-/// Writes the checkpoint crash-safely as a framed record (length
-/// prefix + FNV checksum, see [`geyser::store`]): serialize to
-/// `<path>.tmp`, then atomically rename over `path`. A crash
-/// mid-write leaves the previous checkpoint intact; a crash between
-/// write and rename leaves a stray `.tmp` that the next write simply
-/// overwrites; a torn rename target fails the frame check on load.
-pub fn write_checkpoint_atomic(path: &Path, checkpoint: &Checkpoint) -> std::io::Result<()> {
-    let body = serde_json::to_string(checkpoint)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_record_atomic(path, &body)
-}
-
-fn parse_checkpoint(payload: &str) -> Result<Checkpoint, CheckpointError> {
-    serde_json::from_str(payload).map_err(|_| CheckpointError::Corrupt {
-        digest: fnv1a_bytes(payload.as_bytes()),
-        reason: "checkpoint JSON does not parse or has version skew".to_string(),
-    })
-}
-
-/// Loads a checkpoint, distinguishing unreadable files from corrupt
-/// ones; the frame's length and checksum are verified before any JSON
-/// parsing. Unframed (pre-framing) files still parse as legacy JSON.
-/// The file is left in place — see [`load_checkpoint_quarantining`]
-/// for the variant the supervised pipeline uses.
-pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    match read_record_file(path) {
-        Ok(payload) => parse_checkpoint(payload.text()),
-        Err(StoreReadError::Io(e)) => Err(CheckpointError::Io(e)),
-        Err(StoreReadError::Corrupt(c)) => Err(CheckpointError::Corrupt {
-            digest: c.digest,
-            reason: c.reason,
-        }),
-    }
-}
-
-/// Loads a checkpoint like [`load_checkpoint`], but quarantines a
-/// corrupt file to a `.corrupt-<digest>` sidecar (logging a structured
-/// warning and bumping the `store_corrupt_total` counter) so the next
-/// write starts clean and corruption is observable, never a silent
-/// fresh start.
-pub fn load_checkpoint_quarantining(
-    path: &Path,
-    telemetry: &Telemetry,
-) -> Result<Checkpoint, CheckpointError> {
-    match read_record_file_quarantining(path, "checkpoint", telemetry) {
-        Ok(payload) => match parse_checkpoint(payload.text()) {
-            Ok(ckpt) => Ok(ckpt),
-            Err(CheckpointError::Corrupt { reason, .. }) => {
-                // The frame verified (or the file predates framing) but
-                // the payload is not a checkpoint: quarantine the file
-                // bytes as-is.
-                let bytes = std::fs::read(path).unwrap_or_default();
-                let c = quarantine_corrupt(path, &bytes, &reason, "checkpoint", telemetry);
-                Err(CheckpointError::Corrupt {
-                    digest: c.digest,
-                    reason: c.reason,
-                })
-            }
-            Err(e) => Err(e),
-        },
-        Err(StoreReadError::Io(e)) => Err(CheckpointError::Io(e)),
-        Err(StoreReadError::Corrupt(c)) => Err(CheckpointError::Corrupt {
-            digest: c.digest,
-            reason: c.reason,
-        }),
-    }
 }
 
 /// The live checkpoint writer: a [`BlockObserver`] that persists the
@@ -349,15 +183,24 @@ impl BlockObserver for CheckpointWriter {
         ) {
             return;
         }
-        if let Some(block) = CheckpointBlock::from_result(index, result) {
+        // Failed and Skipped blocks are not checkpointed either: a
+        // resume should retry a panicked block, and skipped blocks
+        // carry no result at all.
+        if matches!(
+            result.outcome,
+            BlockOutcome::Composed { .. } | BlockOutcome::FellBack { .. }
+        ) {
             let mut state = self
                 .state
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.blocks.push(block);
+            state.blocks.push(CheckpointBlock {
+                index,
+                result: result.clone(),
+            });
             // Checkpoint IO failures must never fail the compilation:
             // the checkpoint is an optimization for the next run.
-            let _ = write_checkpoint_atomic(&self.path, &state);
+            let _ = state.publish(&self.path);
             drop(state);
             if self.corrupt {
                 if let Ok(body) = std::fs::read_to_string(&self.path) {
@@ -377,6 +220,11 @@ impl BlockObserver for CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geyser::store::{Load, OnCorrupt};
+
+    fn load(path: &std::path::Path) -> Load<Checkpoint> {
+        Checkpoint::load(path, OnCorrupt::Keep, |_| true)
+    }
 
     fn sample_result(composed: bool) -> CompositionResult {
         let mut c = Circuit::new(3);
@@ -410,13 +258,17 @@ mod tests {
     fn roundtrips_through_disk() {
         let path = temp_path("roundtrip");
         let mut ckpt = Checkpoint::new(0xabcd, 7, 5, 0xc0f6, 0x11);
-        ckpt.blocks
-            .push(CheckpointBlock::from_result(2, &sample_result(true)).unwrap());
-        ckpt.blocks
-            .push(CheckpointBlock::from_result(4, &sample_result(false)).unwrap());
-        write_checkpoint_atomic(&path, &ckpt).unwrap();
-        let back = load_checkpoint(&path).unwrap();
-        assert!(back.matches(0xabcd, 7, 5, 0xc0f6, 0x11));
+        for (index, composed) in [(2, true), (4, false)] {
+            ckpt.blocks.push(CheckpointBlock {
+                index,
+                result: sample_result(composed),
+            });
+        }
+        ckpt.publish(&path).unwrap();
+        let Load::Hit(back) = load(&path) else {
+            panic!("a published checkpoint must load");
+        };
+        assert!(back.matches(&Checkpoint::new(0xabcd, 7, 5, 0xc0f6, 0x11)));
         assert_eq!(back.num_recorded(), 2);
         let prior = back.to_prior();
         assert_eq!(prior.len(), 5);
@@ -436,124 +288,47 @@ mod tests {
     #[test]
     fn mismatched_run_is_rejected() {
         let ckpt = Checkpoint::new(1, 2, 3, 4, 5);
-        assert!(!ckpt.matches(999, 2, 3, 4, 5), "wrong fingerprint");
-        assert!(!ckpt.matches(1, 999, 3, 4, 5), "wrong seed");
-        assert!(!ckpt.matches(1, 2, 999, 4, 5), "wrong block count");
-        assert!(!ckpt.matches(1, 2, 3, 999, 5), "wrong config hash");
-        assert!(!ckpt.matches(1, 2, 3, 4, 999), "wrong hardware digest");
-        assert!(ckpt.matches(1, 2, 3, 4, 5));
-    }
-
-    #[test]
-    fn truncated_file_loads_as_corrupt() {
-        let path = temp_path("truncated");
-        let ckpt = Checkpoint::new(1, 2, 3, 4, 5);
-        write_checkpoint_atomic(&path, &ckpt).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
-        let err = load_checkpoint(&path).unwrap_err();
-        let CheckpointError::Corrupt { reason, .. } = err else {
-            panic!("truncated checkpoint must load as Corrupt");
-        };
-        assert!(reason.contains("torn"), "reason was: {reason}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bit_flipped_file_loads_as_checksum_corrupt() {
-        let path = temp_path("bit-flip");
-        write_checkpoint_atomic(&path, &Checkpoint::new(1, 2, 3, 4, 5)).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 2;
-        bytes[last] ^= 0x20;
-        std::fs::write(&path, bytes).unwrap();
-        let err = load_checkpoint(&path).unwrap_err();
-        let CheckpointError::Corrupt { reason, .. } = err else {
-            panic!("bit-flipped checkpoint must load as Corrupt");
-        };
-        assert!(reason.contains("checksum"), "reason was: {reason}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn quarantining_load_moves_corrupt_file_aside() {
-        let path = temp_path("quarantine");
-        write_checkpoint_atomic(&path, &Checkpoint::new(1, 2, 3, 4, 5)).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
-        let telemetry = geyser::Telemetry::enabled();
-        let err = load_checkpoint_quarantining(&path, &telemetry).unwrap_err();
-        let CheckpointError::Corrupt { digest, .. } = err else {
-            panic!("torn checkpoint must be Corrupt");
-        };
-        assert!(!path.exists(), "corrupt checkpoint must be quarantined");
-        let sidecar = geyser::store::corrupt_sidecar_path(&path, digest);
-        assert!(sidecar.exists(), "sidecar must hold the corrupt bytes");
-        assert_eq!(
-            telemetry.counter_value(geyser::store::STORE_CORRUPT_COUNTER),
-            Some(1)
+        assert!(
+            !ckpt.matches(&Checkpoint::new(999, 2, 3, 4, 5)),
+            "wrong fingerprint"
         );
-        // The store is clean again: the next load is a plain miss.
-        assert!(matches!(
-            load_checkpoint_quarantining(&path, &telemetry),
-            Err(CheckpointError::Io(_))
-        ));
-        let _ = std::fs::remove_file(&sidecar);
+        assert!(
+            !ckpt.matches(&Checkpoint::new(1, 999, 3, 4, 5)),
+            "wrong seed"
+        );
+        assert!(
+            !ckpt.matches(&Checkpoint::new(1, 2, 999, 4, 5)),
+            "wrong block count"
+        );
+        assert!(
+            !ckpt.matches(&Checkpoint::new(1, 2, 3, 999, 5)),
+            "wrong config hash"
+        );
+        assert!(
+            !ckpt.matches(&Checkpoint::new(1, 2, 3, 4, 999)),
+            "wrong hardware digest"
+        );
+        assert!(ckpt.matches(&Checkpoint::new(1, 2, 3, 4, 5)));
     }
 
     #[test]
-    fn pre_v3_checkpoint_without_hardware_digest_is_invalidated() {
-        // v2 files carry no hardware_digest; the field is required on
-        // deserialize, so legacy checkpoints load as Corrupt and the
-        // run starts fresh instead of silently replaying blocks
-        // composed under an unknown hardware model.
-        struct Raw(Value);
-        impl serde::Serialize for Raw {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        use serde::Value;
-        let path = temp_path("pre-v3");
-        let ckpt = Checkpoint::new(1, 2, 3, 4, 5);
-        let Value::Map(fields) = serde::Serialize::to_value(&ckpt) else {
-            panic!("checkpoints serialize as maps");
-        };
-        let pruned: Vec<(String, Value)> = fields
-            .into_iter()
-            .filter(|(k, _)| k != "hardware_digest")
-            .map(|(k, v)| {
-                if k == "version" {
-                    (k, Value::U64(2))
-                } else {
-                    (k, v)
-                }
-            })
-            .collect();
-        let body = serde_json::to_string(&Raw(Value::Map(pruned))).unwrap();
-        std::fs::write(&path, body).unwrap();
+    fn other_versions_and_runs_load_stale() {
+        // A v3 file (written before the exact-gradient kernel) lacks
+        // nothing this build needs to see its version, so it is stale
+        // — never replayed, never mistaken for corruption.
+        let path = temp_path("older-version");
+        let mut old = Checkpoint::new(1, 2, 3, 4, 5);
+        old.version = CHECKPOINT_VERSION - 1;
+        old.publish(&path).unwrap();
+        assert!(matches!(load(&path), Load::Stale));
+        // A current checkpoint of another run is stale too.
+        Checkpoint::new(1, 2, 3, 4, 5).publish(&path).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
-            Err(CheckpointError::Corrupt { .. })
+            Checkpoint::load(&path, OnCorrupt::Keep, |c| {
+                c.matches(&Checkpoint::new(1, 2, 3, 4, 999))
+            }),
+            Load::Stale
         ));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_file_is_io_not_corrupt() {
-        let path = temp_path("missing-never-written");
-        assert!(matches!(
-            load_checkpoint(&path),
-            Err(CheckpointError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn atomic_write_leaves_no_tmp_behind() {
-        let path = temp_path("atomic");
-        write_checkpoint_atomic(&path, &Checkpoint::new(5, 6, 7, 8, 9)).unwrap();
-        assert!(path.exists());
-        assert!(!path.with_extension("json.tmp").exists());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -585,7 +360,9 @@ mod tests {
         assert!(!token.is_cancelled(), "kill fires after 2 blocks, not 1");
         writer.block_finished(1, &sample_result(true));
         assert!(token.is_cancelled());
-        let back = load_checkpoint(&path).unwrap();
+        let Load::Hit(back) = load(&path) else {
+            panic!("the writer's checkpoint must load");
+        };
         assert_eq!(back.num_recorded(), 2);
         let _ = std::fs::remove_file(&path);
     }

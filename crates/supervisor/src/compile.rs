@@ -11,9 +11,9 @@ use geyser::{
 use geyser_circuit::Circuit;
 use geyser_reuse::reuse_config_hash;
 
-use crate::checkpoint::{
-    checkpoint_fingerprint, load_checkpoint_quarantining, Checkpoint, CheckpointWriter,
-};
+use geyser::store::{Load, OnCorrupt, Schema};
+
+use crate::checkpoint::{checkpoint_fingerprint, Checkpoint, CheckpointWriter};
 use crate::watchdog::Heartbeat;
 
 /// How one supervised attempt should run.
@@ -129,37 +129,27 @@ impl Pass for CheckpointedComposePass {
             cfg.restarts,
             cfg.retry_attempts,
         );
-        let hardware_digest = ctx.config().hardware.digest();
+        let fresh = Checkpoint::new(
+            fingerprint,
+            cfg.seed,
+            num_blocks,
+            config_hash,
+            ctx.config().hardware.digest(),
+        );
         // A checkpoint binds to (source circuit, composition seed,
         // block count, composition-config hash, hardware digest);
-        // anything else is someone else's run and must not be spliced
-        // in. Corrupt files are quarantined to a `.corrupt-<digest>`
-        // sidecar and the run starts fresh — resume is an
-        // optimization, never a correctness requirement.
-        let (initial, prior) = match load_checkpoint_quarantining(&self.path, ctx.telemetry()) {
-            Ok(ckpt)
-                if self.resume
-                    && ckpt.matches(
-                        fingerprint,
-                        cfg.seed,
-                        num_blocks,
-                        config_hash,
-                        hardware_digest,
-                    ) =>
-            {
+        // anything else is someone else's run (stale) and must not be
+        // spliced in. Corrupt files are quarantined to a
+        // `.corrupt-<digest>` sidecar and the run starts fresh —
+        // resume is an optimization, never a correctness requirement.
+        let quarantine = OnCorrupt::Quarantine(ctx.telemetry());
+        let loaded = Checkpoint::load(&self.path, quarantine, |c| c.matches(&fresh));
+        let (initial, prior) = match loaded {
+            Load::Hit(ckpt) if self.resume => {
                 let prior = ckpt.to_prior();
                 (ckpt, prior)
             }
-            _ => (
-                Checkpoint::new(
-                    fingerprint,
-                    cfg.seed,
-                    num_blocks,
-                    config_hash,
-                    hardware_digest,
-                ),
-                Vec::new(),
-            ),
+            _ => (fresh, Vec::new()),
         };
         let writer = CheckpointWriter::new(
             self.path.clone(),
@@ -217,7 +207,14 @@ pub fn run_supervised_compile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::load_checkpoint;
+
+    /// The checkpoint at `path`, which the test expects to exist.
+    fn load_checkpoint(path: &std::path::Path) -> Checkpoint {
+        match Checkpoint::load(path, OnCorrupt::Keep, |_| true) {
+            Load::Hit(ckpt) => ckpt,
+            other => panic!("expected a persisted checkpoint, got {other:?}"),
+        }
+    }
 
     fn program() -> Circuit {
         let mut c = Circuit::new(4);
@@ -258,7 +255,7 @@ mod tests {
                 cfg.reuse.enabled
             );
         }
-        assert!(load_checkpoint(&path).unwrap().num_recorded() >= 1);
+        assert!(load_checkpoint(&path).num_recorded() >= 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -276,7 +273,7 @@ mod tests {
             matches!(err, CompileError::Cancelled { .. }),
             "expected typed Cancelled, got {err:?}"
         );
-        let ckpt = load_checkpoint(&path).expect("partial checkpoint persisted");
+        let ckpt = load_checkpoint(&path);
         assert!(ckpt.num_recorded() >= 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -334,7 +331,7 @@ mod tests {
         killed.cancel = CancelToken::new();
         killed.checkpoint = Some(path.clone());
         run_supervised_compile(&program(), &cfg, &killed).unwrap_err();
-        assert!(load_checkpoint(&path).unwrap().num_recorded() >= 1);
+        assert!(load_checkpoint(&path).num_recorded() >= 1);
 
         // Run 2: same circuit, same seed, same block count — but a
         // different composition ε. The checkpoint's blocks were
@@ -381,7 +378,7 @@ mod tests {
         killed.cancel = CancelToken::new();
         killed.checkpoint = Some(path.clone());
         run_supervised_compile(&program(), &cfg, &killed).unwrap_err();
-        assert!(load_checkpoint(&path).unwrap().num_recorded() >= 1);
+        assert!(load_checkpoint(&path).num_recorded() >= 1);
 
         // Run 2: identical pipeline knobs but a different hardware
         // scenario. Same circuit, seed, and composition config — only

@@ -5,7 +5,8 @@
 //! shed, cancelled, failed — is appended to an append-only journal
 //! *before* the caller observes it. The journal is a sequence of
 //! `GEYSREC1` frames (see [`geyser::store`]) appended over time; each
-//! frame's payload is one JSON [`JournalEvent`].
+//! frame's payload is one JSON [`JournalEvent`]. The file is a
+//! `geyser-store` append-only [`Log`].
 //!
 //! **Crash model.** A `kill -9` mid-append leaves a partial final
 //! frame. That is not corruption: [`Journal::open`] truncates the
@@ -13,10 +14,10 @@
 //! at most the single event being written at the instant of death is
 //! lost, and that event's job simply replays as
 //! acknowledged-but-incomplete. Anything else wrong with the file
-//! (checksum mismatch, garbage at a frame boundary) is real
-//! corruption and surfaces as a typed [`JournalError::Corrupt`];
-//! opening a fresh journal over it is the *caller's* decision, never
-//! a silent one.
+//! (checksum mismatch, garbage at a frame boundary, a frame that is
+//! not a journal event) is real corruption and surfaces as a typed
+//! [`StoreReadError::Corrupt`]; opening a fresh journal over it is
+//! the *caller's* decision, never a silent one.
 //!
 //! **Replay.** [`JournalReplay`] folds the event stream into the two
 //! sets recovery cares about: jobs with a terminal outcome
@@ -29,20 +30,18 @@
 //!
 //! **Compaction.** Replay cost is bounded: every
 //! [`Journal::COMPACT_EVERY`] appended events the journal rewrites
-//! itself (temp file + atomic rename) as one `snapshot` marker
-//! followed by the folded per-job events — one terminal event per
-//! settled job, one admitted (+ dispatched) event per pending job.
-//! A crash during compaction leaves either the old journal or the new
-//! one on disk, never a mix; the stray `.tmp` is swept at the next
-//! open.
+//! itself ([`Log::rewrite`]: temp file + atomic rename) as one
+//! `snapshot` marker followed by the folded per-job events — one
+//! terminal event per settled job, one admitted (+ dispatched) event
+//! per pending job. A crash during compaction leaves either the old
+//! journal or the new one on disk, never a mix; the journal's own
+//! stray `<name>.tmp` is removed at the next open.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use geyser::store::{
-    append_record, clean_stale_tmp, encode_record, fnv1a_bytes, read_segmented_file,
-    truncate_torn_tail, StoreReadError,
-};
+use geyser::store::log::LogOpenStats;
+use geyser::store::{read_log, Log, StoreCorruption, StoreReadError};
 use geyser::Telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -194,48 +193,6 @@ impl JournalEvent {
     }
 }
 
-/// Why a journal could not be loaded.
-#[derive(Debug)]
-pub enum JournalError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The file holds something other than a journal: a mid-file
-    /// frame failed its checksum, a frame boundary holds garbage, or
-    /// a frame payload is not a journal event. (A torn *tail* is not
-    /// corruption — it is truncated on open.)
-    Corrupt {
-        /// FNV-1a digest of the offending bytes.
-        digest: u64,
-        /// What exactly was wrong.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal unreadable: {e}"),
-            JournalError::Corrupt { digest, reason } => {
-                write!(f, "journal corrupt (digest {digest:016x}): {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<StoreReadError> for JournalError {
-    fn from(e: StoreReadError) -> Self {
-        match e {
-            StoreReadError::Io(e) => JournalError::Io(e),
-            StoreReadError::Corrupt(c) => JournalError::Corrupt {
-                digest: c.digest,
-                reason: c.reason,
-            },
-        }
-    }
-}
-
 /// The folded state of a journal: what recovery needs to know.
 #[derive(Debug, Clone, Default)]
 pub struct JournalReplay {
@@ -299,22 +256,15 @@ impl JournalReplay {
     }
 }
 
-/// What [`Journal::open`] found on disk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JournalOpenStats {
-    /// Bytes of torn tail truncated (0 for a clean or fresh file).
-    pub torn_bytes_truncated: u64,
-    /// Events replayed from the existing file.
-    pub events_replayed: u64,
-    /// Stale `.tmp` files swept from the journal's directory.
-    pub stale_tmp_cleaned: usize,
-}
+/// What [`Journal::open`] found on disk: the log's open statistics,
+/// one replayed record per event.
+pub type JournalOpenStats = LogOpenStats;
 
 /// An open write-ahead journal. See the module docs for the format
 /// and crash model.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
+    log: Log,
     replay: JournalReplay,
     open_stats: JournalOpenStats,
     events_since_compaction: usize,
@@ -327,41 +277,22 @@ impl Journal {
     /// Appends between automatic snapshot compactions.
     pub const COMPACT_EVERY: usize = 256;
 
-    /// Opens (or creates) the journal at `path`: sweeps stale `.tmp`
-    /// files from its directory, truncates any torn tail left by a
-    /// crash mid-append, and replays the surviving events. A corrupt
-    /// journal (not merely torn) is refused with
-    /// [`JournalError::Corrupt`] — the caller decides whether to
+    /// Opens (or creates) the journal at `path`: removes its own
+    /// compaction temp left by a crashed rewrite, truncates any torn
+    /// tail left by a crash mid-append, and replays the surviving
+    /// events. A corrupt journal (not merely torn) is refused with
+    /// [`StoreReadError::Corrupt`] — the caller decides whether to
     /// quarantine and start fresh.
-    pub fn open(path: &Path, telemetry: &Telemetry) -> Result<Journal, JournalError> {
-        let stale_tmp_cleaned = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => clean_stale_tmp(dir, telemetry),
-            _ => 0,
-        };
+    pub fn open(path: &Path, telemetry: &Telemetry) -> Result<Journal, StoreReadError> {
+        let (log, payloads, stats) = Log::open(path, telemetry)?;
         let mut replay = JournalReplay::default();
-        let mut open_stats = JournalOpenStats {
-            stale_tmp_cleaned,
-            ..JournalOpenStats::default()
-        };
-        match read_segmented_file(path) {
-            Ok(decoded) => {
-                if decoded.torn_bytes > 0 {
-                    open_stats.torn_bytes_truncated =
-                        truncate_torn_tail(path).map_err(JournalError::from)?;
-                }
-                for payload in &decoded.records {
-                    let event = parse_event(payload)?;
-                    replay.apply(&event);
-                }
-                open_stats.events_replayed = decoded.records.len() as u64;
-            }
-            Err(StoreReadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+        for payload in &payloads {
+            replay.apply(&parse_event(path, payload)?);
         }
         Ok(Journal {
-            path: path.to_path_buf(),
+            log,
             replay,
-            open_stats,
+            open_stats: stats,
             events_since_compaction: 0,
             crash_next_compaction: false,
         })
@@ -369,7 +300,7 @@ impl Journal {
 
     /// Where this journal lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// What opening found on disk.
@@ -386,9 +317,7 @@ impl Journal {
     /// Every [`Journal::COMPACT_EVERY`] appends, the journal compacts
     /// itself so replay cost stays bounded.
     pub fn append(&mut self, event: &JournalEvent) -> std::io::Result<()> {
-        let payload = serde_json::to_string(event)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        append_record(&self.path, &payload)?;
+        self.log.append(&to_payload(event))?;
         self.replay.apply(event);
         self.events_since_compaction += 1;
         if self.events_since_compaction >= Journal::COMPACT_EVERY {
@@ -403,16 +332,7 @@ impl Journal {
     /// process is considered dead. Chaos-only
     /// (`kill-mid-journal-append`).
     pub fn append_torn(&mut self, event: &JournalEvent) -> std::io::Result<()> {
-        let payload = serde_json::to_string(event)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let frame = encode_record(&payload);
-        let half = &frame.as_bytes()[..frame.len() / 2];
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(half)
+        self.log.append_torn(&to_payload(event))
     }
 
     /// Arms the injected compaction crash (chaos
@@ -428,55 +348,54 @@ impl Journal {
     /// Returns whether the rewrite committed (`false` only under the
     /// injected compaction crash).
     pub fn compact(&mut self) -> std::io::Result<bool> {
-        let mut body = String::new();
         let marker = JournalEvent::snapshot(
             self.replay.settled.len() as u64,
             self.replay.events_applied,
             0,
         );
-        let encode = |event: &JournalEvent| -> std::io::Result<String> {
-            let payload = serde_json::to_string(event)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok(encode_record(&payload))
-        };
-        body.push_str(&encode(&marker)?);
-        for event in self.replay.settled.values() {
-            body.push_str(&encode(event)?);
-        }
+        let mut payloads = vec![to_payload(&marker)];
+        payloads.extend(self.replay.settled.values().map(to_payload));
         for (id, event) in &self.replay.pending {
-            body.push_str(&encode(event)?);
+            payloads.push(to_payload(event));
             if self.replay.dispatched.contains(id) {
-                body.push_str(&encode(&JournalEvent::dispatched(*id, event.now_ms))?);
+                payloads.push(to_payload(&JournalEvent::dispatched(*id, event.now_ms)));
             }
         }
-        let tmp = self.path.with_extension("journal.tmp");
-        std::fs::write(&tmp, &body)?;
-        if self.crash_next_compaction {
-            self.crash_next_compaction = false;
-            return Ok(false);
+        let commit = !std::mem::take(&mut self.crash_next_compaction);
+        let committed = self
+            .log
+            .rewrite(payloads.iter().map(String::as_str), commit)?;
+        if committed {
+            self.events_since_compaction = 0;
         }
-        std::fs::rename(&tmp, &self.path)?;
-        self.events_since_compaction = 0;
-        Ok(true)
+        Ok(committed)
     }
 }
 
-fn parse_event(payload: &str) -> Result<JournalEvent, JournalError> {
-    serde_json::from_str(payload).map_err(|_| JournalError::Corrupt {
-        digest: fnv1a_bytes(payload.as_bytes()),
-        reason: "frame payload is not a journal event".to_string(),
+fn to_payload(event: &JournalEvent) -> String {
+    serde_json::to_string(event).expect("journal events serialize")
+}
+
+fn parse_event(path: &Path, payload: &str) -> Result<JournalEvent, StoreReadError> {
+    serde_json::from_str(payload).map_err(|_| {
+        StoreReadError::Corrupt(StoreCorruption::new(
+            path,
+            payload.as_bytes(),
+            "frame payload is not a journal event",
+        ))
     })
 }
 
 /// Loads a journal's events without truncating or mutating anything —
 /// the scanner-grade loader `repair` and the chaos audit use. Returns
 /// the events plus the torn-tail byte count (0 when clean).
-pub fn load_journal_events(path: &Path) -> Result<(Vec<JournalEvent>, u64), JournalError> {
-    let decoded = read_segmented_file(path).map_err(JournalError::from)?;
-    let mut events = Vec::with_capacity(decoded.records.len());
-    for payload in &decoded.records {
-        events.push(parse_event(payload)?);
-    }
+pub fn load_journal_events(path: &Path) -> Result<(Vec<JournalEvent>, u64), StoreReadError> {
+    let decoded = read_log(path)?;
+    let events = decoded
+        .records
+        .iter()
+        .map(|payload| parse_event(path, payload))
+        .collect::<Result<_, _>>()?;
     Ok((events, decoded.torn_bytes))
 }
 
@@ -486,6 +405,7 @@ mod tests {
     use crate::job::JobSpec;
     use geyser::{PipelineConfig, Technique};
     use geyser_circuit::Circuit;
+    use std::path::PathBuf;
 
     fn temp_journal(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -531,7 +451,7 @@ mod tests {
         drop(journal);
 
         let reopened = Journal::open(&path, &t).unwrap();
-        assert_eq!(reopened.open_stats().events_replayed, 3);
+        assert_eq!(reopened.open_stats().records_replayed, 3);
         assert_eq!(reopened.open_stats().torn_bytes_truncated, 0);
         let replay = reopened.replay();
         assert!(replay.is_settled(7));
@@ -563,7 +483,7 @@ mod tests {
 
         let reopened = Journal::open(&path, &t).unwrap();
         assert!(reopened.open_stats().torn_bytes_truncated > 0);
-        assert_eq!(reopened.open_stats().events_replayed, 2);
+        assert_eq!(reopened.open_stats().records_replayed, 2);
         let replay = reopened.replay();
         assert!(!replay.is_settled(1));
         assert_eq!(replay.to_readmit(), vec![1]);
@@ -617,7 +537,7 @@ mod tests {
         assert_eq!(replay.settled()[&2].digest, 22);
         // Compacted size: marker + 4 terminal + 2 admitted + 2
         // dispatched = 9 frames instead of 16 raw events.
-        assert_eq!(reopened.open_stats().events_replayed, 9);
+        assert_eq!(reopened.open_stats().records_replayed, 9);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -641,9 +561,10 @@ mod tests {
         assert!(path.with_extension("journal.tmp").exists());
         let reopened = Journal::open(&path, &t).unwrap();
         assert!(
-            reopened.open_stats().stale_tmp_cleaned >= 1,
-            "open sweeps the stray compaction tmp"
+            reopened.open_stats().stale_tmp_cleaned,
+            "open removes its own stray compaction tmp"
         );
+        assert!(!path.with_extension("journal.tmp").exists());
         assert!(reopened.replay().is_settled(3));
         assert_eq!(reopened.replay().settled()[&3].digest, 0xabc);
         let _ = std::fs::remove_file(&path);
@@ -679,7 +600,7 @@ mod tests {
         }
         drop(journal);
         let reopened = Journal::open(&path, &t).unwrap();
-        let replayed = reopened.open_stats().events_replayed;
+        let replayed = reopened.open_stats().records_replayed;
         assert!(
             replayed < (jobs * 3) / 2,
             "auto-compaction must fold the stream, replayed {replayed} of {}",
@@ -710,36 +631,11 @@ mod tests {
         bytes[at] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         match Journal::open(&path, &t) {
-            Err(JournalError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("checksum"), "reason: {reason}");
+            Err(StoreReadError::Corrupt(c)) => {
+                assert!(c.reason.contains("checksum"), "reason: {}", c.reason);
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn scanner_loader_reports_torn_bytes_without_mutating() {
-        let path = temp_journal("scanner");
-        let _ = std::fs::remove_file(&path);
-        let t = telemetry();
-        let mut journal = Journal::open(&path, &t).unwrap();
-        journal
-            .append(&JournalEvent::admitted(0, "acme", "OptiMap", None, 100, 0))
-            .unwrap();
-        journal
-            .append_torn(&JournalEvent::dispatched(0, 1))
-            .unwrap();
-        drop(journal);
-        let len_before = std::fs::metadata(&path).unwrap().len();
-        let (events, torn) = load_journal_events(&path).unwrap();
-        assert_eq!(events.len(), 1);
-        assert!(torn > 0);
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            len_before,
-            "the scanner must not truncate"
-        );
         let _ = std::fs::remove_file(&path);
     }
 }

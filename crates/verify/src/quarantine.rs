@@ -5,8 +5,9 @@
 //! plus everything needed to re-run it bit-identically: the fuzz-case
 //! seed, pipeline config tag, technique, injected fault spec (if the
 //! failure was seeded deliberately), and the oracle verdict that
-//! condemned it. Writes are atomic (`.tmp` + rename) so a crash
-//! mid-write can never leave a half-entry that poisons `replay`.
+//! condemned it. Writes are atomic (`geyser-store`'s temp file +
+//! rename) so a crash mid-write can never leave a half-entry that
+//! poisons `replay`.
 
 use std::fs;
 use std::io;
@@ -126,16 +127,13 @@ pub fn entry_path(dir: &Path, id: &str) -> PathBuf {
     dir.join(format!("{id}.json"))
 }
 
-/// Writes an entry atomically, creating the directory if needed.
-/// Returns the entry's final path.
+/// Writes an entry atomically (see [`geyser_store::write_atomic`]),
+/// creating the directory if needed. Returns the entry's final path.
 pub fn write_entry(dir: &Path, entry: &QuarantineEntry) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
     let path = entry_path(dir, &entry.id);
     let body = serde_json::to_string_pretty(entry)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, body)?;
-    fs::rename(&tmp, &path)?;
+    geyser_store::write_atomic(&path, body.as_bytes())?;
     Ok(path)
 }
 

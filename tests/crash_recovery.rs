@@ -7,15 +7,14 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    read_record_file, read_record_file_quarantining, truncate_torn_tail, write_record_atomic,
+    read_record, truncate_torn_tail, write_record, Load, OnCorrupt, Schema, StoreCorruption,
     StoreReadError, STORE_CORRUPT_COUNTER,
 };
 use geyser::{Technique, Telemetry};
-use geyser_bench::{classify_cache_payload, CachePayloadStatus};
+use geyser_bench::CacheEntry;
 use geyser_circuit::Circuit;
 use geyser_supervisor::{
-    load_checkpoint, load_checkpoint_quarantining, load_journal_events, run_supervised_compile,
-    write_checkpoint_atomic, Checkpoint, CheckpointError, JobSpec, JobState, Journal, JournalError,
+    load_journal_events, run_supervised_compile, Checkpoint, JobSpec, JobState, Journal,
     JournalEvent, ServiceConfig, ServiceCore, SupervisedCompileOptions, Supervisor,
     SupervisorConfig,
 };
@@ -32,12 +31,24 @@ fn temp(tag: &str) -> PathBuf {
 fn committed_checkpoint(tag: &str) -> PathBuf {
     let path = temp(tag);
     let _ = std::fs::remove_file(&path);
-    write_checkpoint_atomic(&path, &Checkpoint::new(0xfeed, 42, 5, 0xc0de, 0xdead)).unwrap();
+    Checkpoint::new(0xfeed, 42, 5, 0xc0de, 0xdead)
+        .publish(&path)
+        .unwrap();
     assert!(
-        load_checkpoint(&path).is_ok(),
+        matches!(load_checkpoint(&path), Load::Hit(_)),
         "the committed record must load before we corrupt it"
     );
     path
+}
+
+/// The scanner-grade checkpoint load: corruption stays in place.
+fn load_checkpoint(path: &Path) -> Load<Checkpoint> {
+    Checkpoint::load(path, OnCorrupt::Keep, |_| true)
+}
+
+/// The pipeline-grade checkpoint load: corruption is quarantined.
+fn load_checkpoint_quarantining(path: &Path, telemetry: &Telemetry) -> Load<Checkpoint> {
+    Checkpoint::load(path, OnCorrupt::Quarantine(telemetry), |_| true)
 }
 
 /// The quarantine sidecar written next to `path`, if any.
@@ -72,7 +83,7 @@ fn truncated_checkpoint_is_a_typed_error_then_quarantined() {
     // The scanner-grade loader reports corruption but leaves the file
     // in place (repair and the chaos audit need to observe it).
     match load_checkpoint(&path) {
-        Err(CheckpointError::Corrupt { digest, reason }) => {
+        Load::Corrupt(StoreCorruption { digest, reason, .. }) => {
             assert_ne!(digest, 0);
             assert!(!reason.is_empty());
         }
@@ -83,7 +94,7 @@ fn truncated_checkpoint_is_a_typed_error_then_quarantined() {
     // The pipeline-grade loader additionally quarantines and counts.
     let telemetry = Telemetry::enabled();
     match load_checkpoint_quarantining(&path, &telemetry) {
-        Err(CheckpointError::Corrupt { .. }) => {}
+        Load::Corrupt(_) => {}
         other => panic!("expected a typed Corrupt error, got {other:?}"),
     }
     assert!(!path.exists(), "the corrupt file must be moved aside");
@@ -101,7 +112,7 @@ fn bit_flipped_checkpoint_fails_the_checksum_and_quarantines() {
     std::fs::write(&path, &body).unwrap();
 
     match load_checkpoint(&path) {
-        Err(CheckpointError::Corrupt { reason, .. }) => {
+        Load::Corrupt(StoreCorruption { reason, .. }) => {
             assert!(
                 reason.contains("checksum"),
                 "a flipped payload byte must fail the frame checksum, got: {reason}"
@@ -111,7 +122,10 @@ fn bit_flipped_checkpoint_fails_the_checksum_and_quarantines() {
     }
 
     let telemetry = Telemetry::enabled();
-    assert!(load_checkpoint_quarantining(&path, &telemetry).is_err());
+    assert!(matches!(
+        load_checkpoint_quarantining(&path, &telemetry),
+        Load::Corrupt(_)
+    ));
     assert!(!path.exists());
     assert!(sidecar_of(&path).is_some());
     assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
@@ -122,12 +136,12 @@ fn bit_flipped_checkpoint_fails_the_checksum_and_quarantines() {
 fn torn_cache_record_is_quarantined_with_a_typed_error() {
     let path = temp("cache-torn");
     let _ = std::fs::remove_file(&path);
-    write_record_atomic(&path, "{\"payload\":\"fine\"}").unwrap();
-    assert!(read_record_file(&path).is_ok());
+    write_record(&path, "{\"payload\":\"fine\"}").unwrap();
+    assert!(read_record(&path, "cache", OnCorrupt::Keep).is_ok());
 
     let body = std::fs::read(&path).unwrap();
     std::fs::write(&path, &body[..body.len() - 3]).unwrap();
-    match read_record_file(&path) {
+    match read_record(&path, "cache", OnCorrupt::Keep) {
         Err(StoreReadError::Corrupt(c)) => {
             assert_eq!(c.path, path);
             assert_ne!(c.digest, 0);
@@ -136,7 +150,7 @@ fn torn_cache_record_is_quarantined_with_a_typed_error() {
     }
 
     let telemetry = Telemetry::enabled();
-    assert!(read_record_file_quarantining(&path, "cache", &telemetry).is_err());
+    assert!(read_record(&path, "cache", OnCorrupt::Quarantine(&telemetry)).is_err());
     assert!(!path.exists(), "torn cache records must be moved aside");
     assert!(sidecar_of(&path).is_some());
     assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
@@ -148,14 +162,18 @@ fn frame_valid_garbage_is_not_a_cache_entry() {
     // A frame can verify while the payload is still not a cache
     // entry (e.g. a different tool wrote the file): schema
     // classification must reject it rather than replay garbage.
-    assert_eq!(
-        classify_cache_payload("{\"not\":\"a cache entry\"}"),
-        CachePayloadStatus::Malformed
-    );
-    assert_eq!(
-        classify_cache_payload("[1,2,3]"),
-        CachePayloadStatus::Malformed
-    );
+    let path = temp("cache-garbage");
+    for payload in ["{\"not\":\"a cache entry\"}", "[1,2,3]"] {
+        write_record(&path, payload).unwrap();
+        assert!(
+            matches!(
+                CacheEntry::load(&path, OnCorrupt::Keep, |_| true),
+                Load::Corrupt(_)
+            ),
+            "{payload} must classify as malformed"
+        );
+    }
+    cleanup(&path);
 }
 
 /// Builds a committed (clean-tailed, loadable) journal with four
@@ -250,14 +268,14 @@ fn every_offset_journal_mutation_is_typed_or_truncates_cleanly() {
         flipped[at] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
         match load_journal_events(&path) {
-            Err(JournalError::Corrupt { digest, reason }) => {
+            Err(StoreReadError::Corrupt(StoreCorruption { digest, reason, .. })) => {
                 assert_ne!(digest, 0, "corrupt report at {at} must carry a digest");
                 assert!(
                     !reason.is_empty(),
                     "corrupt report at {at} must carry a reason"
                 );
             }
-            Err(JournalError::Io(e)) => {
+            Err(StoreReadError::Io(e)) => {
                 panic!("bit-flip at {at} must not surface as an IO error: {e}")
             }
             Ok((events, torn)) => assert!(
